@@ -130,6 +130,8 @@ let run input store format min_sup all max_length max_patterns limit instances m
     | Some path, _ | _, Some path -> path
     | None, None -> assert false
   in
+  (* The baseline precedes the store open, so --stats counts it. *)
+  let before = if stats_file <> None then Some (Metrics.snapshot ()) else None in
   match
     let db, codec =
       match store with
@@ -179,7 +181,6 @@ let run input store format min_sup all max_length max_patterns limit instances m
       | None -> Trace.null
       | Some _ -> Trace.create ?capacity:trace_ring ~level:trace_level ()
     in
-    let before = if stats_file <> None then Some (Metrics.snapshot ()) else None in
     (* With --stats-interval the run's metric deltas are written
        periodically while mining (and once more at the end) instead of
        only at exit; the same helper drives the daemon's periodic dump. *)
@@ -267,6 +268,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
          with --resume --retry-quarantined to re-mine them@."
         report.Miner.quarantined;
     if instances then begin
+      let idx = Inverted_index.build db in
       let sorted = List.sort Mined.compare_by_support_desc report.Miner.results in
       List.iteri
         (fun k r ->
@@ -274,7 +276,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
             Format.printf "@.%a:@." Pattern.pp r.Mined.pattern;
             List.iter
               (fun f -> Format.printf "  %a@." Instance.pp_full f)
-              (Miner.landmarks db r.Mined.pattern)
+              (Sup_comp.landmarks idx r.Mined.pattern)
           end)
         sorted
     end;

@@ -19,7 +19,7 @@ type t = {
 exception Corrupt of string
 
 let magic = "RGS-CHECKPOINT"
-let version = 2
+let version = 3
 
 let log_src = Logs.Src.create "rgs.checkpoint" ~doc:"Durable checkpoint log"
 
@@ -40,25 +40,6 @@ let fingerprint ~params db =
   Buffer.add_string buf (Seqdb.content_digest db);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* --- CRC32 (zlib polynomial), table-based --- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
-
 (* --- record framing: 4-byte LE length, 4-byte LE CRC32, payload --- *)
 
 let le32 buf v =
@@ -74,7 +55,7 @@ let frame record =
   let payload = Marshal.to_string (record : record) [] in
   let buf = Buffer.create (String.length payload + 8) in
   le32 buf (String.length payload);
-  le32 buf (crc32 payload);
+  le32 buf (Crc32.string payload);
   Buffer.add_string buf payload;
   Buffer.contents buf
 
@@ -135,7 +116,7 @@ let read_records ic =
         match read_exactly ic len with
         | `Eof | `Short -> `Torn
         | `All payload ->
-          if crc32 payload <> crc then `Torn
+          if Crc32.string payload <> crc then `Torn
           else (
             match (Marshal.from_string payload 0 : record) with
             | r ->
@@ -190,9 +171,10 @@ let load ~path ~expected_fingerprint =
           match Scanf.sscanf_opt line "v%d %s" (fun v fp -> (v, fp)) with
           | Some (v, fp) when v = version -> fp
           | Some (v, _) ->
+            (* refused before any record decodes: the shapes differ *)
             raise
               (Corrupt
-                 (Printf.sprintf "%s: version %d, expected %d" path v version))
+                 (Printf.sprintf "%s: unsupported version %d, expected %d" path v version))
           | None ->
             raise
               (Corrupt

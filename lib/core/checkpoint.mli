@@ -2,11 +2,13 @@
 
     The DFS forest mined by {!Gsgrow}/{!Clogsgrow} splits into independent
     subtrees, one per frequent size-1 root — the same decomposition
-    {!Parallel_miner} exploits. Version 2 of the checkpoint format is an
+    {!Parallel_miner} exploits. Version 3 of the checkpoint format is an
     {e append-only record log}: a self-describing header (magic, version,
     caller-supplied fingerprint) followed by one CRC32-framed record per
-    event — a completed root with its full result list, a quarantined
-    root, or the run outcome. Saving after a root finishes appends one
+    event — a completed root with its full result list (pattern and
+    support per result, no support sets), a quarantined root, or the run
+    outcome. A log of any other version is refused at the header, before
+    a record is decoded. Saving after a root finishes appends one
     record, O(that root's results), instead of rewriting the whole file;
     a run killed outright ([kill -9], power loss) loses at most the record
     being appended.
@@ -97,10 +99,6 @@ val sweep_stale_temps : string -> unit
 (** Remove leftover [rgs-ckpt*.tmp] files in a directory — temp files a
     killed process never got to rename. {!Writer.create} calls this for
     the checkpoint's directory before creating its own temp. *)
-
-val crc32 : string -> int
-(** The frame checksum (zlib polynomial), exposed for tests and fixture
-    generation. *)
 
 (** Incremental appender. Physical writes never raise: each one is
     retried with exponential backoff and deterministic jitter

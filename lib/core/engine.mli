@@ -92,7 +92,9 @@ type ctx
 type frame
 (** A pending DFS node: pattern, leftmost support set, query state and
     the prefix support-set chain (for LBCheck). Immutable; safe to hand
-    to another domain whose [ctx] shares the same index and plan. *)
+    to another domain whose [ctx] shares the same index and plan. Frames
+    are the only holders of support sets: an emitted {!Mined.t} keeps the
+    pattern and its support, so a set is garbage once its subtree is done. *)
 
 val make_ctx :
   ?max_length:int ->

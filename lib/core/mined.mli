@@ -1,10 +1,12 @@
 (** Mined pattern records shared by {!Gsgrow}, {!Clogsgrow} and the
-    {!Miner} facade. *)
+    {!Miner} facade.
+
+    A result carries no support set: those live only in {!Engine} frames
+    on the DFS stack. Recompute one with {!Sup_comp.support_set}. *)
 
 type t = {
   pattern : Pattern.t;
   support : int;  (** repetitive support [sup(pattern)] *)
-  support_set : Support_set.t;  (** leftmost support set, compressed *)
 }
 
 val compare_by_support_desc : t -> t -> int

@@ -5,15 +5,16 @@ type matrix = {
   counts : int array array;
 }
 
-let feature_matrix ~num_sequences results =
+let feature_matrix db results =
+  let idx = Rgs_sequence.Inverted_index.build db in
   let patterns = Array.of_list (List.map (fun r -> r.Mined.pattern) results) in
-  let counts = Array.make_matrix num_sequences (Array.length patterns) 0 in
-  List.iteri
-    (fun j r ->
+  let counts = Array.make_matrix (Rgs_sequence.Seqdb.size db) (Array.length patterns) 0 in
+  Array.iteri
+    (fun j p ->
       List.iter
         (fun (i, c) -> counts.(i - 1).(j) <- c)
-        (Support_set.per_sequence_counts r.Mined.support_set))
-    results;
+        (Support_set.per_sequence_counts (Sup_comp.support_set idx p)))
+    patterns;
   { patterns; counts }
 
 let group_means m ~labels =

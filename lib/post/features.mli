@@ -4,7 +4,7 @@
     is to select discriminative ones for classification".
 
     This module turns mined patterns into per-sequence feature vectors
-    (instance counts from the leftmost support sets), scores patterns for
+    (instance counts from recomputed leftmost support sets), scores patterns for
     discriminativeness between two labelled groups, and provides a
     nearest-centroid classifier for the demonstration example. *)
 
@@ -15,9 +15,9 @@ type matrix = {
   counts : int array array;  (** [counts.(i).(j)]: instances of pattern [j] in sequence [i+1] *)
 }
 
-val feature_matrix : num_sequences:int -> Mined.t list -> matrix
-(** Feature values straight from the miners' support sets — no re-scan of
-    the database. *)
+val feature_matrix : Rgs_sequence.Seqdb.t -> Mined.t list -> matrix
+(** One row per sequence of [db]: each pattern's leftmost support set is
+    recomputed with {!Sup_comp.support_set} over one index per call. *)
 
 val discriminative_scores : matrix -> labels:bool array -> (Pattern.t * float) array
 (** Scores each pattern by the absolute difference of its mean feature

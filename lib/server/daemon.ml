@@ -304,7 +304,7 @@ let parse_conn t conn =
            else begin
              let payload = String.sub data (!pos + 8) flen in
              pos := !pos + 8 + flen;
-             if Checkpoint.crc32 payload <> crc then begin
+             if Rgs_sequence.Crc32.string payload <> crc then begin
                ok := false;
                raise Exit
              end;

@@ -160,7 +160,7 @@ let write_frame ?(fire_fault = false) fd payload =
     raise (Protocol_error (Printf.sprintf "frame too large (%d bytes)" len));
   let buf = Bytes.create (8 + len) in
   put_u32 buf 0 len;
-  put_u32 buf 4 (Checkpoint.crc32 payload);
+  put_u32 buf 4 (Rgs_sequence.Crc32.string payload);
   Bytes.blit_string payload 0 buf 8 len;
   write_all fd buf 0 (8 + len)
 
@@ -177,7 +177,7 @@ let read_frame fd =
       | Some b -> Bytes.unsafe_to_string b
       | None -> raise (Protocol_error "connection closed mid-frame")
     in
-    if Checkpoint.crc32 payload <> crc then
+    if Rgs_sequence.Crc32.string payload <> crc then
       raise (Protocol_error "frame CRC mismatch");
     Some payload
 

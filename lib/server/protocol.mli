@@ -10,7 +10,7 @@
 
     {v
     offset 0   u32 big-endian   payload length (<= max_frame_bytes)
-    offset 4   u32 big-endian   CRC-32 of the payload (Checkpoint.crc32)
+    offset 4   u32 big-endian   CRC-32 of the payload (Rgs_sequence.Crc32.string)
     offset 8   payload          Marshal-encoded request / response
     v}
 

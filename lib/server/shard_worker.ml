@@ -49,7 +49,7 @@ let write_corrupt_frame fd =
   let buf = Bytes.create (8 + len) in
   Bytes.set_int32_be buf 0 (Int32.of_int len);
   Bytes.set_int32_be buf 4
-    (Int32.of_int ((Checkpoint.crc32 payload lxor 0x5A5A5A5A) land 0xFFFFFFFF));
+    (Int32.of_int ((Crc32.string payload lxor 0x5A5A5A5A) land 0xFFFFFFFF));
   Bytes.blit_string payload 0 buf 8 len;
   write_all fd buf 0 (8 + len)
 

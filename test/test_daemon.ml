@@ -64,7 +64,7 @@ let check_results name got =
     (sorted got)
 
 let mined_of (events, support) =
-  { Mined.pattern = Pattern.of_list events; support; support_set = Support_set.empty }
+  { Mined.pattern = Pattern.of_list events; support }
 
 (* the chaos invariant, over the wire signatures *)
 let chaos_check plan ~faulty ~quarantined =

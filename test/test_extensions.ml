@@ -127,7 +127,7 @@ let repeaters_and_oneshots () =
 let test_feature_matrix () =
   let db = repeaters_and_oneshots () in
   let report = Rgs_core.Miner.mine ~config:(Miner.config ~min_sup:12 ()) db in
-  let m = Rgs_post.Features.feature_matrix ~num_sequences:(Seqdb.size db) report.Miner.results in
+  let m = Rgs_post.Features.feature_matrix db report.Miner.results in
   Alcotest.(check int) "12 rows" 12 (Array.length m.Rgs_post.Features.counts);
   (* the AB column separates the groups *)
   let ab_col =
@@ -148,7 +148,7 @@ let test_feature_matrix () =
 let test_discriminative_and_classify () =
   let db = repeaters_and_oneshots () in
   let report = Rgs_core.Miner.mine ~config:(Miner.config ~min_sup:12 ()) db in
-  let m = Rgs_post.Features.feature_matrix ~num_sequences:(Seqdb.size db) report.Miner.results in
+  let m = Rgs_post.Features.feature_matrix db report.Miner.results in
   let labels = Array.init 12 (fun i -> i < 6) in
   let scored = Rgs_post.Features.discriminative_scores m ~labels in
   (* the best discriminator must involve the repeated AB behaviour, not CD *)
@@ -173,7 +173,7 @@ let test_discriminative_and_classify () =
 let test_features_validation () =
   let db = repeaters_and_oneshots () in
   let report = Rgs_core.Miner.mine ~config:(Miner.config ~min_sup:12 ()) db in
-  let m = Rgs_post.Features.feature_matrix ~num_sequences:(Seqdb.size db) report.Miner.results in
+  let m = Rgs_post.Features.feature_matrix db report.Miner.results in
   Alcotest.check_raises "bad labels length"
     (Invalid_argument "Features: labels length must match the number of sequences")
     (fun () -> ignore (Rgs_post.Features.discriminative_scores m ~labels:[| true |]));

@@ -6,9 +6,10 @@
    [Inverted_index.positions], on all three backends, across hundreds of
    random databases plus the adversarial shapes that stress each gallop
    branch (single-run postings, alternating events, seek-to-self,
-   seek-past-end). The support-set sharing fix is locked by a memory
-   regression: on a fixed seeded append-heavy workload the CSR backend's
-   retained live words must stay within 1.25x of legacy. The closure-funnel
+   seek-past-end). Answer retention is locked by two memory guards on a
+   fixed seeded append-heavy workload: a mined result holds its pattern and
+   support only (at most 16 reachable words each), and the CSR backend's
+   retained live words stay within 1.25x of legacy. The closure-funnel
    bench section is pinned by checking that the quest_small sweep's lowest
    threshold actually exercises the pre-filter's survive path. *)
 
@@ -258,10 +259,13 @@ let test_miner_output_independent_of_gallop_probe () =
 (* --- memory regression: support-set sharing on append-heavy DFS --- *)
 
 (* Retained live words of a full mining run (results held) on a fixed
-   seeded workload, measured against a post-compaction baseline. The
-   firsts-sharing fix makes grown groups alias their parent's arrays, so
-   the CSR backend — whose [of_event] materialises fresh positions arrays —
-   must retain no more than 1.25x the legacy backend's words. *)
+   seeded workload, measured against a post-compaction baseline. Results
+   carry no support sets, so what stays live is the answer itself on
+   either backend and the ratio sits near 1; the bound keeps a backend from
+   leaking index-derived arrays into the answer. The index is in the
+   baseline, so it is kept alive past the sample: were it collected
+   first, its words would be subtracted from the run's retention — more
+   for the larger legacy index. *)
 let retained_words kind db =
   let idx = Inverted_index.build_kind kind db in
   Gc.compact ();
@@ -269,6 +273,7 @@ let retained_words kind db =
   let results, _ = Gsgrow.mine ~max_length:4 idx ~min_sup:4 in
   let live = Metrics.sample_live_words () in
   ignore (Sys.opaque_identity (List.length results));
+  ignore (Sys.opaque_identity idx);
   (live - baseline, List.length results)
 
 let test_memory_regression_csr_vs_legacy () =
@@ -290,6 +295,25 @@ let test_memory_regression_csr_vs_legacy () =
   (* the samples must also have fed the peak gauge (PR 3 contract) *)
   Alcotest.(check bool) "peak_live_words gauge updated" true
     (Metrics.value Metrics.peak_live_words > 0)
+
+(* Support sets live only on the DFS stack: an answer is a list of
+   pattern + support records, so its whole reachable graph is a few words
+   per result (cons cell 3, record 3, pattern array of length <= 4 at most
+   5) however large the supports are. *)
+let test_answer_words_per_result () =
+  let db =
+    Rgs_datagen.Trace_gen.generate
+      (Rgs_datagen.Trace_gen.params ~num_sequences:30 ~num_events:10 ~seed:5 ())
+  in
+  let idx = Inverted_index.build db in
+  let results, _ = Gsgrow.mine ~max_length:4 idx ~min_sup:4 in
+  let n = List.length results in
+  let words = Obj.reachable_words (Obj.repr results) in
+  Alcotest.(check bool) "workload is append-heavy" true (n > 500);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d results <= 16 per result" words n)
+    true
+    (words <= 16 * n)
 
 (* Growth must share the parent's firsts arrays rather than copy them:
    physical equality through a deep chain, the mechanism behind the ratio
@@ -357,4 +381,6 @@ let suite =
     Alcotest.test_case "grow shares firsts arrays" `Quick test_grow_shares_firsts;
     Alcotest.test_case "closure funnel pin (quest_small)" `Quick
       test_closure_funnel_pin;
+    Alcotest.test_case "memory: answer <= 16 words per result" `Quick
+      test_answer_words_per_result;
   ]

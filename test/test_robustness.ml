@@ -457,7 +457,7 @@ let test_fixture_unusable () =
 
 (* --- salvage at arbitrary truncation points --- *)
 
-let header_len = String.length "RGS-CHECKPOINT\n" + String.length ("v2 " ^ fixture_fp ^ "\n")
+let header_len = String.length "RGS-CHECKPOINT\n" + String.length ("v3 " ^ fixture_fp ^ "\n")
 
 (* A realistic log image: real mined results marshalled into 7 roots. *)
 let salvage_image =
@@ -770,6 +770,53 @@ let test_e2e_sigterm_graceful () =
       Alcotest.(check string) "resumed stdout = uninterrupted stdout"
         (normalize_report out_base) (normalize_report out_res))
 
+(* A v2 log marshals results that still carried support sets: it must be
+   refused at the header, never handed to [Marshal] as the v3 shape. *)
+let test_checkpoint_v2_refused () =
+  let image = In_channel.with_open_bin (fixture "full.ckpt") In_channel.input_all in
+  let head = "RGS-CHECKPOINT\nv3" and k = String.length "RGS-CHECKPOINT\nv" in
+  Alcotest.(check string) "fixture is a v3 log" head (String.sub image 0 (k + 1));
+  let v2_image = String.sub image 0 k ^ "2" ^ String.sub image (k + 1) (String.length image - k - 1) in
+  let path = Filename.temp_file "rgs_ckpt_v2" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc v2_image);
+      match Checkpoint.load ~path ~expected_fingerprint:fixture_fp with
+      | exception Checkpoint.Corrupt msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "typed refusal: %s" msg)
+          true
+          (contains msg "unsupported version 2")
+      | _ -> Alcotest.fail "a v2 log must be refused")
+
+(* --instances prints each reported pattern's landmarks from one index
+   built for the whole listing; the section must be byte-identical to
+   recomputing every pattern from scratch with [Miner.landmarks]. *)
+let test_e2e_instances () =
+  let limit = 8 in
+  let status, out =
+    run_rgsminer
+      [ "--min-sup"; "3"; "--max-length"; "3"; "--limit"; string_of_int limit;
+        "--instances"; quest_small ]
+  in
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+  let db, _ = Seq_io.load_tokens quest_small in
+  let report = Miner.mine ~config:(Miner.config ~min_sup:3 ~max_length:3 ()) db in
+  let expected =
+    List.sort Mined.compare_by_support_desc report.Miner.results
+    |> List.filteri (fun k _ -> k < limit)
+    |> List.map (fun r ->
+           Format.asprintf "@.%a:@.%a" Pattern.pp r.Mined.pattern
+             (fun ppf -> List.iter (Format.fprintf ppf "  %a@." Instance.pp_full))
+             (Miner.landmarks db r.Mined.pattern))
+    |> String.concat ""
+  in
+  Alcotest.(check bool) "instances listed" true (String.length expected > 0);
+  let n = String.length out and m = String.length expected in
+  Alcotest.(check string) "instances section = per-pattern recomputation"
+    expected (if n >= m then String.sub out (n - m) m else out)
+
 let suite =
   [
     prop_strict_le_support;
@@ -819,4 +866,6 @@ let suite =
     Alcotest.test_case "e2e: kill -9 under --shards then resume" `Quick
       test_e2e_kill9_resume_sharded;
     Alcotest.test_case "e2e: SIGTERM graceful exit" `Quick test_e2e_sigterm_graceful;
+    Alcotest.test_case "e2e: --instances listing" `Quick test_e2e_instances;
+    Alcotest.test_case "checkpoint v2 log refused" `Quick test_checkpoint_v2_refused;
   ]

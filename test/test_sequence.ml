@@ -225,6 +225,31 @@ let test_index_next_exhaustive () =
         (Seqdb.alphabet db))
     db
 
+(* Four domains checksum at once from a common start: the table is built
+   at module initialisation, so no domain can observe it half-built. *)
+let test_crc32_concurrent () =
+  let check = "123456789" in
+  let ready = Atomic.make 0 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do Domain.cpu_relax () done;
+    let bytes =
+      Bigarray.Array1.init Bigarray.char Bigarray.c_layout (String.length check)
+        (String.get check)
+    in
+    List.init 200 (fun _ ->
+        (Crc32.string check, Crc32.bigarray bytes ~pos:0 ~len:(String.length check)))
+  in
+  let domains = List.init 4 (fun _ -> Domain.spawn worker) in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (s, b) ->
+          Alcotest.(check int) "string check value" 0xCBF43926 s;
+          Alcotest.(check int) "bigarray check value" 0xCBF43926 b)
+        (Domain.join d))
+    domains
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -250,4 +275,5 @@ let suite =
     Alcotest.test_case "index next" `Quick test_index_next;
     Alcotest.test_case "index counts" `Quick test_index_counts;
     Alcotest.test_case "index next exhaustive" `Quick test_index_next_exhaustive;
+    Alcotest.test_case "crc32 from 4 domains" `Quick test_crc32_concurrent;
   ]

@@ -463,18 +463,25 @@ let test_metrics_export_formats () =
 (* --- rgsminer --trace-ring: a bounded ring drops the oldest events and
        surfaces the loss as the trace_dropped_events counter --- *)
 
-let test_trace_ring_e2e () =
+let rgsminer_exe () =
   let exe =
     Filename.concat
       (Filename.dirname Sys.executable_name)
       (Filename.concat ".." (Filename.concat "bin" "rgsminer.exe"))
   in
   if not (Sys.file_exists exe) then Alcotest.fail "rgsminer.exe not built";
-  let data =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." (Filename.concat "data" "quest_small.txt"))
-  in
+  exe
+
+let quest_small =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "data" "quest_small.txt"))
+
+let stat_value stats name =
+  int_of_float (Json.to_num (Json.get "value" (Json.get name stats)))
+
+let test_trace_ring_e2e () =
+  let exe = rgsminer_exe () and data = quest_small in
   with_temp_file (fun trace_path ->
       with_temp_file (fun stats_path ->
           let cmd =
@@ -488,15 +495,34 @@ let test_trace_ring_e2e () =
           (* quest_small at min_sup 3 has thousands of DFS nodes: a 64-slot
              ring must overflow and count every dropped event *)
           let stats = Json.parse (read_file stats_path) in
-          let dropped =
-            int_of_float (Json.to_num (Json.get "value" (Json.get "trace_dropped_events" stats)))
-          in
+          let dropped = stat_value stats "trace_dropped_events" in
           Alcotest.(check bool) "drops counted" true (dropped > 0);
           (* the export holds only what the ring retained *)
           let doc = Json.parse (read_file trace_path) in
           let events = Json.to_arr (Json.get "traceEvents" doc) in
           Alcotest.(check bool) "export bounded" true
             (List.length events > 0 && List.length events <= 64 + 8)))
+
+(* --- rgsminer --store --stats: the metric baseline is taken before the
+       store is opened, so the run's own open is counted --- *)
+
+let test_stats_store_open_e2e () =
+  let exe = rgsminer_exe () in
+  let db, codec = Seq_io.load_tokens quest_small in
+  let store = Filename.temp_file "rgs-stats" ".rgsdb" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove store with Sys_error _ -> ())
+    (fun () ->
+      Rgs_store.Store.write ~codec ~path:store db;
+      with_temp_file (fun stats_path ->
+          let cmd =
+            Printf.sprintf
+              "%s --min-sup 3 --max-length 2 --store %s --stats %s >/dev/null 2>/dev/null"
+              (Filename.quote exe) (Filename.quote store) (Filename.quote stats_path)
+          in
+          Alcotest.(check int) "exit code" 0 (Sys.command cmd);
+          let stats = Json.parse (read_file stats_path) in
+          Alcotest.(check int) "store_opens" 1 (stat_value stats "store_opens")))
 
 let suite =
   [
@@ -514,4 +540,5 @@ let suite =
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
     Alcotest.test_case "metrics export formats" `Quick test_metrics_export_formats;
     Alcotest.test_case "--trace-ring e2e" `Quick test_trace_ring_e2e;
+    Alcotest.test_case "--stats counts the store open" `Quick test_stats_store_open_e2e;
   ]

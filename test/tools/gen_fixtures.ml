@@ -35,7 +35,7 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-(* Split a v2 checkpoint image into header + framed records, using the
+(* Split a checkpoint image into header + framed records, using the
    length field of each frame. *)
 let frames_of image =
   let header_len = String.index_from image (String.index image '\n' + 1) '\n' + 1 in
