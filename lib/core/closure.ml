@@ -37,6 +37,33 @@ let rightmost_landmark s p =
   in
   if m = 0 then Some [||] else walk m n
 
+(* Per-domain scratch for the gap bounds, indexed by dense event id (see
+   [Alphabet.dense]): [local] counts one sequence's gap, [totals] sums the
+   per-sequence bounds, and [seq_ids] / [ids] list the ids with a nonzero
+   [local] / [totals] entry so a reset touches only those, O(gap length)
+   rather than O(alphabet). [local] and [totals] are all-zero between
+   calls; all four are regrown when a larger alphabet comes along. *)
+type scratch = {
+  mutable local : int array;
+  mutable totals : int array;
+  mutable seq_ids : int array;
+  mutable ids : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { local = [||]; totals = [||]; seq_ids = [||]; ids = [||] })
+
+let scratch_for size =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.local < size then begin
+    sc.local <- Array.make size 0;
+    sc.totals <- Array.make size 0;
+    sc.seq_ids <- Array.make size 0;
+    sc.ids <- Array.make size 0
+  end;
+  sc
+
 let check ?event_sets ?(trace = Trace.null) idx ~candidate_events ~prefix_sets
     ~pattern ~support_set ~has_equal_append =
   let event_sets =
@@ -46,6 +73,7 @@ let check ?event_sets ?(trace = Trace.null) idx ~candidate_events ~prefix_sets
   let sup_p = Support_set.size support_set in
   let arr = Pattern.to_array pattern in
   let db = Inverted_index.db idx in
+  let alpha = Seqdb.dense_alphabet db in
   let events =
     List.filter (fun e -> Inverted_index.occurrence_count idx e >= sup_p) candidate_events
   in
@@ -57,54 +85,72 @@ let check ?event_sets ?(trace = Trace.null) idx ~candidate_events ~prefix_sets
       (fun (i, count) ->
         let s = Seqdb.seq db i in
         match (leftmost_landmark s pattern, rightmost_landmark s pattern) with
-        | Some fl, Some rl -> Some (i, fl, rl, count)
+        | Some fl, Some rl -> Some (s, fl, rl, count)
         | _ -> None)
       (Support_set.per_sequence_counts support_set)
   in
+  let sc = scratch_for (Alphabet.size alpha) in
+  let n_ids = ref 0 in
   (* Sound pre-filter for inserting e' at gap j (one pass per gap, all
      events at once): instances of the extension P' in S_i project to
      non-overlapping instances of P (Lemma 1), so S_i holds at most
      min(sup_i, occurrences of e' between fl_j and rl_{j+1}) of them — two
      non-overlapping P'-instances need distinct e' positions, and every
      such position lies inside the envelope gap. If the sum over sequences
-     is below sup(P), growing the extension cannot reach equal support. *)
+     is below sup(P), growing the extension cannot reach equal support.
+     Fills [sc.totals] for the ids listed in [sc.ids.(0 .. !n_ids - 1)]. *)
   let gap_bounds j =
-    let totals : (Event.t, int) Hashtbl.t = Hashtbl.create 32 in
-    let local : (Event.t, int) Hashtbl.t = Hashtbl.create 32 in
     List.iter
-      (fun (i, fl, rl, sup_i) ->
+      (fun (s, fl, rl, sup_i) ->
         let lo = if j = 0 then 0 else fl.(j - 1) in
         let hi = rl.(j) in
-        if hi > lo + 1 then begin
-          Hashtbl.reset local;
-          let s = Seqdb.seq db i in
-          for pos = lo + 1 to hi - 1 do
-            let e = Sequence.unsafe_get s pos in
-            Hashtbl.replace local e (1 + Option.value ~default:0 (Hashtbl.find_opt local e))
-          done;
-          Hashtbl.iter
-            (fun e c ->
-              Hashtbl.replace totals e
-                (min sup_i c + Option.value ~default:0 (Hashtbl.find_opt totals e)))
-            local
-        end)
-      contributing;
-    totals
+        let n_seq = ref 0 in
+        for pos = lo + 1 to hi - 1 do
+          let d = Alphabet.dense alpha (Sequence.unsafe_get s pos) in
+          let c = sc.local.(d) in
+          if c = 0 then begin
+            sc.seq_ids.(!n_seq) <- d;
+            incr n_seq
+          end;
+          sc.local.(d) <- c + 1
+        done;
+        for k = 0 to !n_seq - 1 do
+          let d = sc.seq_ids.(k) in
+          if sc.totals.(d) = 0 then begin
+            sc.ids.(!n_ids) <- d;
+            incr n_ids
+          end;
+          sc.totals.(d) <- sc.totals.(d) + min sup_i sc.local.(d);
+          sc.local.(d) <- 0
+        done)
+      contributing
   in
+  let clear_totals () =
+    for k = 0 to !n_ids - 1 do
+      sc.totals.(sc.ids.(k)) <- 0
+    done;
+    n_ids := 0
+  in
+  let bound e' =
+    let d = Alphabet.dense alpha e' in
+    if d < 0 then 0 else sc.totals.(d)
+  in
+  (* the funnel counters, flushed once per call *)
+  let checks = ref 0 and rejects = ref 0 and base_grows = ref 0 in
+  let full_grows = ref 0 in
   let non_closed = ref has_equal_append in
   (* Insertion position j in [0 .. m-1]: extension e1..ej e' e_{j+1}..e_m. *)
   let scan_position j =
-    let bounds = gap_bounds j in
+    gap_bounds j;
     let suffix = Pattern.of_array (Array.sub arr j (m - j)) in
     let base e' =
       if j = 0 then event_sets e' else Support_set.grow idx prefix_sets.(j - 1) e'
     in
     let scan_event e' =
-      Metrics.hit Metrics.closure_bound_checks;
-      if Option.value ~default:0 (Hashtbl.find_opt bounds e') < sup_p then
-        Metrics.hit Metrics.closure_bound_rejects
+      incr checks;
+      if bound e' < sup_p then incr rejects
       else begin
-        Metrics.hit Metrics.closure_base_grows;
+        incr base_grows;
         let i0 = base e' in
         if Support_set.size i0 >= sup_p then
           match Sup_comp.grow_from_until idx i0 suffix ~min_size:sup_p with
@@ -112,19 +158,32 @@ let check ?event_sets ?(trace = Trace.null) idx ~candidate_events ~prefix_sets
           | Some i' ->
             (* sup(P') <= sup(P) by Lemma 1, so reaching min_size means
                equality. *)
-            Metrics.hit Metrics.closure_full_grows;
+            incr full_grows;
             non_closed := true;
             (* Theorem 5 condition (ii), on the packed lasts arrays. *)
             if Support_set.border_dominated ~extension:i' ~pattern:support_set then
               raise Prunable
       end
     in
-    List.iter scan_event events
+    List.iter scan_event events;
+    clear_totals ()
   in
+  let flush () =
+    Metrics.add Metrics.closure_bound_checks !checks;
+    Metrics.add Metrics.closure_bound_rejects !rejects;
+    Metrics.add Metrics.closure_base_grows !base_grows;
+    Metrics.add Metrics.closure_full_grows !full_grows
+  in
+  (* every exit, [Prunable] included, leaves the scratch zeroed *)
   match
-    for j = 0 to m - 1 do
-      scan_position j
-    done
+    Fun.protect
+      ~finally:(fun () ->
+        clear_totals ();
+        flush ())
+      (fun () ->
+        for j = 0 to m - 1 do
+          scan_position j
+        done)
   with
   | () ->
     Trace.instant trace Trace.Closure_check

@@ -43,7 +43,11 @@ val check :
 
     Candidate events are filtered internally to those with database
     occurrence count at least [sup(P)] — others cannot yield an
-    equal-support extension.
+    equal-support extension. The gap-bound pre-filter counts into
+    per-domain arrays indexed by dense event id (grown to the largest
+    alphabet seen, left zeroed on every exit), so concurrent checks on
+    different domains share nothing. Its counters are flushed once per
+    call.
 
     [event_sets] supplies the size-1 leftmost support sets used as prepend
     bases; pass a memoised function (as CloGSgrow does) to avoid

@@ -1,38 +1,112 @@
-type counter = int Atomic.t
 type kind = Counter | Gauge
 
-let hit c = Atomic.incr c
-let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c n)
-let value = Atomic.get
+(* A counter is a slot in every domain's private cell array; a gauge is one
+   shared atomic ([gauge] is unused for counters). *)
+type counter = { slot : int; kind : kind; gauge : int Atomic.t }
+
+(* Each domain adds into its own [int array]; [pad] unused words at either
+   end keep two domains' cells off a shared cache line. Only the owning
+   domain writes a live array's cells (bar [reset]); readers sum them. *)
+let pad = 8
+
+type cells = { mutable a : int array }
+
+(* [lock] guards the registry, the slot count, [retired] and [live], and
+   every replacement of a [cells.a]. Registration, reads and domain exits
+   take it; [hit] and [add] never do. *)
+let lock = Mutex.create ()
+
+let with_lock f =
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+let registry : (string * kind * counter) list ref = ref []
+let slots = ref 0
+let retired = ref [||] (* totals folded in from exited domains, by slot *)
+let live : cells list ref = ref []
+
+let fresh_cells () = Array.make (!slots + (2 * pad)) 0
+
+let fold_and_unregister c =
+  with_lock (fun () ->
+      Array.iteri (fun i v -> !retired.(i) <- !retired.(i) + v) c.a;
+      live := List.filter (fun c' -> c' != c) !live)
+
+(* [Domain.at_exit] is per-domain, so each domain registers its own fold in
+   the initialiser that creates its cells. *)
+let cells_key =
+  Domain.DLS.new_key (fun () ->
+      let c = with_lock (fun () ->
+          let c = { a = fresh_cells () } in
+          live := c :: !live;
+          c)
+      in
+      Domain.at_exit (fun () -> fold_and_unregister c);
+      c)
+
+(* Slow path: the counter was registered after this domain sized its
+   cells. *)
+let grow_and_add cells c n =
+  with_lock (fun () ->
+      let a = fresh_cells () in
+      Array.blit cells.a 0 a 0 (Array.length cells.a);
+      cells.a <- a);
+  cells.a.(c.slot) <- cells.a.(c.slot) + n
+
+let add_cell c n =
+  let cells = Domain.DLS.get cells_key in
+  let a = cells.a in
+  if c.slot < Array.length a then
+    Array.unsafe_set a c.slot (Array.unsafe_get a c.slot + n)
+  else grow_and_add cells c n
+
+let hit c =
+  match c.kind with Counter -> add_cell c 1 | Gauge -> Atomic.incr c.gauge
+
+let add c n =
+  if n <> 0 then
+    match c.kind with
+    | Counter -> add_cell c n
+    | Gauge -> ignore (Atomic.fetch_and_add c.gauge n)
+
+let read_locked c =
+  match c.kind with
+  | Gauge -> Atomic.get c.gauge
+  | Counter ->
+    List.fold_left
+      (fun acc cells ->
+        if c.slot < Array.length cells.a then acc + cells.a.(c.slot) else acc)
+      !retired.(c.slot) !live
+
+let value c = with_lock (fun () -> read_locked c)
+
+let gauge_only name c =
+  if c.kind = Counter then invalid_arg ("Metrics." ^ name ^ ": not a gauge")
+
+let set c v =
+  gauge_only "set" c;
+  Atomic.set c.gauge v
 
 let observe_max c v =
+  gauge_only "observe_max" c;
   let rec loop () =
-    let cur = Atomic.get c in
-    if v > cur && not (Atomic.compare_and_set c cur v) then loop ()
+    let cur = Atomic.get c.gauge in
+    if v > cur && not (Atomic.compare_and_set c.gauge cur v) then loop ()
   in
   loop ()
 
-(* The registry holds every named counter/gauge. Registration is rare
-   (module init, plus the odd dynamic caller) and mutex-protected; readers
-   snapshot the list under the same mutex and then read the atomics
-   lock-free. *)
-let registry : (string * kind * counter) list ref = ref []
-let registry_mutex = Mutex.create ()
-
 let register name kind =
-  Mutex.lock registry_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_mutex)
-    (fun () ->
+  with_lock (fun () ->
       if List.exists (fun (n, _, _) -> n = name) !registry then
         invalid_arg (Printf.sprintf "Metrics.register: duplicate name %S" name);
-      let c = Atomic.make 0 in
+      let slot = !slots + pad in
+      incr slots;
+      let r = Array.make (!slots + (2 * pad)) 0 in
+      Array.blit !retired 0 r 0 (Array.length !retired);
+      retired := r;
+      let c = { slot; kind; gauge = Atomic.make 0 } in
       registry := (name, kind, c) :: !registry;
       c)
-
-let registered () =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) (fun () -> !registry)
 
 let insgrow_calls = register "insgrow_calls" Counter
 let full_insgrow_calls = register "full_insgrow_calls" Counter
@@ -88,14 +162,18 @@ let sample_live_words () =
   observe_max peak_live_words live;
   live
 
-let reset () = List.iter (fun (_, _, c) -> Atomic.set c 0) (registered ())
+let reset () =
+  with_lock (fun () ->
+      Array.fill !retired 0 (Array.length !retired) 0;
+      List.iter (fun cells -> Array.fill cells.a 0 (Array.length cells.a) 0) !live;
+      List.iter (fun (_, _, c) -> Atomic.set c.gauge 0) !registry)
 
 (* --- snapshots --- *)
 
 type snapshot = (string * kind * int) list
 
 let snapshot () =
-  List.map (fun (n, k, c) -> (n, k, Atomic.get c)) (registered ())
+  with_lock (fun () -> List.map (fun (n, k, c) -> (n, k, read_locked c)) !registry)
   |> List.sort compare
 
 let diff ~before ~after =

@@ -1,11 +1,21 @@
 (** Registry of named global counters and gauges for the mining hot paths.
 
-    Counters are atomic so they stay accurate under domain-parallel mining;
-    they cost one atomic operation when hit. The index/cursor hot path
-    ({!Inverted_index.seek}) batches its counts locally and flushes them
-    once per group ({!Inverted_index.cursor_finish}) so parallel mining
-    does not contend on a shared cache line per extension; the miners batch
-    their per-run totals ([dfs_nodes], [lb_prunes], ...) the same way.
+    A counter is a set of per-domain cells: {!hit} and {!add} do a plain
+    add into the calling domain's own padded cell array (found through
+    domain-local storage), so parallel mining never contends on a shared
+    cache line. A read ({!value}, {!snapshot}) sums the totals folded in
+    from exited domains plus the cells of every live domain, under the
+    registry lock: it costs O(live domains) per counter. A domain's cells
+    are folded into the retired totals when it exits, so counts survive
+    short-lived pool domains.
+
+    A {!hit} still costs a domain-local lookup, which is dearer than an
+    uncontended atomic, so hot loops count in local [int]s and flush once
+    per call or per run: {!Inverted_index.cursor_finish} flushes a
+    cursor's seek counts once per growth pass, [Closure.check] its
+    pre-filter funnel once per check, and the miners their per-run totals
+    ([dfs_nodes], [lb_prunes], ...). Gauges are single atomics, written
+    with {!set} or {!observe_max}.
 
     Every counter lives in a registry with a stable name and a {!kind};
     {!snapshot} captures all of them at once and {!diff} subtracts two
@@ -14,28 +24,37 @@
     snapshot for operators ([rgsminer --stats]); OBSERVABILITY.md documents
     each metric, its unit and its paper anchor. *)
 
-type counter = int Atomic.t
+type counter
+(** A registered metric: per-domain cells for a [Counter], one atomic for a
+    [Gauge]. *)
 
 type kind =
   | Counter  (** monotonically increasing count; {!diff} subtracts *)
   | Gauge  (** sampled level (e.g. a peak); {!diff} keeps the newer value *)
 
 val register : string -> kind -> counter
-(** Add a named metric to the registry and return its cell. Thread-safe.
+(** Add a named metric to the registry and return it. Thread-safe.
     Raises [Invalid_argument] on a duplicate name. *)
 
 val hit : counter -> unit
-(** Increment (atomic). *)
+(** Increment: a plain add into the calling domain's cell (an atomic add
+    on a gauge). Not for per-element use in hot loops — batch instead. *)
 
 val add : counter -> int -> unit
-(** Add [n] (atomic); no-op when [n = 0]. *)
+(** Add [n], like {!hit}; no-op when [n = 0]. *)
 
 val value : counter -> int
-(** Current reading. *)
+(** Current reading: retired total plus the sum over live domains' cells
+    for a counter, the atomic for a gauge. *)
+
+val set : counter -> int -> unit
+(** Set a gauge to [v] (atomic).
+    @raise Invalid_argument on a [Counter]. *)
 
 val observe_max : counter -> int -> unit
-(** Raise the counter to [v] if [v] exceeds its current value (atomic
-    max — used for peak gauges such as {!peak_live_words}). *)
+(** Raise a gauge to [v] if [v] exceeds its current value (atomic max —
+    used for peak gauges such as {!peak_live_words}).
+    @raise Invalid_argument on a [Counter]. *)
 
 val sample_live_words : unit -> int
 (** Sample the GC's live heap words, fold the sample into
@@ -45,7 +64,9 @@ val sample_live_words : unit -> int
     loops. *)
 
 val reset : unit -> unit
-(** Zero every registered metric. *)
+(** Zero every registered metric: retired totals, the cells of every live
+    domain and every gauge. Call between runs: an [add] racing with it on
+    another domain may survive the reset. *)
 
 val dump : unit -> (string * int) list
 (** Current [(name, value)] pairs, name-sorted, zeros omitted. *)

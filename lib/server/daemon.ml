@@ -166,7 +166,7 @@ let disconnect t conn =
     conn.alive <- false;
     Hashtbl.remove t.conns conn.cid;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    Atomic.set Server_metrics.clients_connected (Hashtbl.length t.conns);
+    Metrics.set Server_metrics.clients_connected (Hashtbl.length t.conns);
     let dropped = Scheduler.cancel_client t.sched ~client:conn.cid in
     Metrics.add Server_metrics.jobs_disconnected (List.length dropped);
     Log.info (fun m ->
@@ -209,7 +209,7 @@ let accept_conn t =
       }
     in
     Hashtbl.replace t.conns cid conn;
-    Atomic.set Server_metrics.clients_connected (Hashtbl.length t.conns);
+    Metrics.set Server_metrics.clients_connected (Hashtbl.length t.conns);
     Log.info (fun m -> m "client %d connected" cid)
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->

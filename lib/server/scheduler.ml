@@ -33,8 +33,8 @@ let locked t f =
 (* level gauges, not peaks: store the current reading directly (a
    Metrics.counter is an [int Atomic.t]) *)
 let set_gauges t =
-  Atomic.set Server_metrics.jobs_pending t.pending_count;
-  Atomic.set Server_metrics.jobs_running (Hashtbl.length t.running_jobs)
+  Metrics.set Server_metrics.jobs_pending t.pending_count;
+  Metrics.set Server_metrics.jobs_running (Hashtbl.length t.running_jobs)
 
 type admit =
   | Admitted of int

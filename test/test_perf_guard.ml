@@ -346,25 +346,57 @@ let quest_small_path =
     (Filename.dirname Sys.executable_name)
     (Filename.concat ".." (Filename.concat "data" "quest_small.txt"))
 
+(* CCheck funnel of [Clogsgrow.mine ~max_length:5 ~min_sup:2] on
+   quest_small, measured before the closure counters were batched: the
+   batched flush (including the Prunable exit) and the per-domain counter
+   cells must reproduce these exactly. *)
+let funnel_names =
+  [
+    ("closure_bound_checks", 4643966);
+    ("closure_bound_rejects", 4632094);
+    ("closure_base_grows", 11872);
+    ("closure_full_grows", 11789);
+  ]
+
+let funnel_delta f =
+  let before = Metrics.snapshot () in
+  f ();
+  let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
+  List.map (fun (n, _) -> (n, Metrics.find d n)) funnel_names
+
 let test_closure_funnel_pin () =
   if not (Sys.file_exists quest_small_path) then
     Alcotest.skip ()
   else begin
     let db, _codec = Seq_io.load_tokens quest_small_path in
     let idx = Inverted_index.build db in
-    Metrics.reset ();
-    ignore (Clogsgrow.mine ~max_length:5 idx ~min_sup:2);
-    let checks = Metrics.value Metrics.closure_bound_checks in
-    let rejects = Metrics.value Metrics.closure_bound_rejects in
-    let base = Metrics.value Metrics.closure_base_grows in
-    Alcotest.(check bool) "pre-filter ran" true (checks > 0);
+    let funnel = Alcotest.(list (pair string int)) in
+    let sequential =
+      funnel_delta (fun () -> ignore (Clogsgrow.mine ~max_length:5 idx ~min_sup:2))
+    in
+    Alcotest.check funnel "sequential funnel pinned" funnel_names sequential;
+    let base = List.assoc "closure_base_grows" sequential in
     (* the sweep's lowest threshold must reach the grow path — otherwise
        the funnel bench only ever measures the reject branch *)
     Alcotest.(check bool)
       (Printf.sprintf "closure_base_grows > 0 (got %d)" base)
       true (base > 0);
     Alcotest.(check bool) "funnel accounts checks" true
-      (rejects + base <= checks)
+      (List.assoc "closure_bound_rejects" sequential + base
+      <= List.assoc "closure_bound_checks" sequential);
+    let strategy = Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true in
+    List.iter
+      (fun domains ->
+        let stolen =
+          funnel_delta (fun () ->
+              ignore
+                (Parallel_miner.mine_steal ~domains ~max_length:5 ~strategy idx
+                   ~min_sup:2))
+        in
+        Alcotest.check funnel
+          (Printf.sprintf "steal x%d funnel = sequential" domains)
+          sequential stolen)
+      [ 2; 4 ]
   end
 
 let suite =

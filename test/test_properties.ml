@@ -11,6 +11,8 @@
    - CloGSgrow output = exhaustive closed set (soundness + completeness);
    - CloGSgrow invariance: disabling LBCheck does not change the output;
    - closure checking agrees with the definition of closedness;
+   - CloGSgrow stays exact on sparse event ids, and CCheck ignores
+     candidate events absent from the database;
    - sequential baselines agree with definition-level counting. *)
 
 open Rgs_sequence
@@ -197,6 +199,64 @@ let prop_clogsgrow_lb_invariant =
       let without_lb, _ = Clogsgrow.mine ~use_lb_check:false idx ~min_sup in
       results_set with_lb = results_set without_lb)
 
+(* Event ids spread by x997 put most databases on the hashtable fallback
+   of [Alphabet.dense], so CCheck's dense gap bounds see sparse raw ids. *)
+let sparse_scale = 997
+
+let gen_sparse_db ~alphabet =
+  QCheck2.Gen.(
+    list_size (int_range 1 3)
+      (list_size (int_bound 7) (int_bound (alphabet - 1) >|= fun e -> e * sparse_scale)
+      >|= Sequence.of_list)
+    >|= Seqdb.of_sequences)
+
+(* Two databases of different alphabet sizes mined back to back on one
+   domain: the per-domain CCheck scratch is reused, and regrown whenever
+   the larger alphabet exceeds every one before it. *)
+let prop_clogsgrow_closed_sparse =
+  make ~name:"CloGSgrow = exhaustive closed set (sparse event ids)" ~count:80
+    QCheck2.Gen.(
+      triple (gen_sparse_db ~alphabet:3) (gen_sparse_db ~alphabet:6) (int_range 1 3))
+    (fun (a, b, ms) ->
+      print_db a ^ "\n" ^ print_db b ^ Printf.sprintf "\nmin_sup: %d" ms)
+    (fun (a, b, min_sup) ->
+      List.for_all
+        (fun db ->
+          let got, _ = Clogsgrow.mine (Inverted_index.build db) ~min_sup in
+          results_set got = oracle_set (Brute_force.closed db ~min_sup))
+        [ a; b; a ])
+
+let prop_closure_check_absent_event =
+  make ~name:"CCheck: a candidate absent from the db changes nothing" ~count:150
+    QCheck2.Gen.(
+      pair (gen_sparse_db ~alphabet:3)
+        (gen_pattern ~alphabet:3 ~max_len:3
+        >|= fun p -> Pattern.of_list (List.map (( * ) sparse_scale) (Pattern.to_list p))))
+    print_pair
+    (fun (db, p) ->
+      let idx = Inverted_index.build db in
+      let sup = Sup_comp.support idx p in
+      sup = 0
+      ||
+      let arr = Pattern.to_array p in
+      let prefix_sets =
+        Array.init (Array.length arr) (fun j ->
+            Sup_comp.support_set idx (Pattern.of_array (Array.sub arr 0 (j + 1))))
+      in
+      let support_set = prefix_sets.(Pattern.length p - 1) in
+      let events = Inverted_index.events idx in
+      let has_equal_append =
+        List.exists
+          (fun e -> Support_set.size (Support_set.grow idx support_set e) = sup)
+          events
+      in
+      let verdict candidate_events =
+        Closure.check idx ~candidate_events ~prefix_sets ~pattern:p ~support_set
+          ~has_equal_append
+      in
+      let absent = [ (3 * sparse_scale) + 1; -1; 1 ] in
+      verdict events = verdict (absent @ events @ absent))
+
 let prop_closure_check_definition =
   make ~name:"CCheck agrees with closedness by definition" ~count:150
     QCheck2.Gen.(pair (gen_db ~num_seqs:3 ~alphabet:3 ~max_len:7) (gen_pattern ~alphabet:3 ~max_len:3))
@@ -241,5 +301,7 @@ let suite =
     prop_clogsgrow_closed;
     prop_clogsgrow_lb_invariant;
     prop_closure_check_definition;
+    prop_clogsgrow_closed_sparse;
+    prop_closure_check_absent_event;
     prop_insgrow_incremental;
   ]

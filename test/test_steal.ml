@@ -308,9 +308,13 @@ let test_steal_successes_on_skew () =
     Alcotest.(check int) "no quarantines" 0 q;
     Alcotest.check sig_t "skew steal output" (signatures sequential)
       (signatures steal);
-    Alcotest.(check bool) "attempts counted" true
-      (Metrics.find d "steal_attempts" > 0);
-    if Metrics.find d "steal_successes" > 0 then ()
+    let attempts = Metrics.find d "steal_attempts"
+    and successes = Metrics.find d "steal_successes" in
+    (* a run may finish before any thief polls, so only a run that stole
+       must have counted attempts *)
+    Alcotest.(check bool) "attempts >= successes" true (attempts >= successes);
+    if successes > 0 then
+      Alcotest.(check bool) "attempts counted" true (attempts > 0)
     else if n > 1 then attempt (n - 1)
     else Alcotest.fail "no successful steal in any run on the skewed workload"
   in

@@ -439,6 +439,107 @@ let test_metrics_registry () =
   Alcotest.(check int) "absent metric reads 0" 0
     (Metrics.find delta2 "no_such_metric")
 
+(* --- per-domain counter cells --- *)
+
+let test_metrics_domains_exact () =
+  let c = Metrics.register "test_metrics_cells_exact" Metrics.Counter in
+  let n = 100_000 in
+  let worker () =
+    for _ = 1 to n do
+      Metrics.hit c
+    done;
+    for _ = 1 to n do
+      Metrics.add c 3
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn worker));
+  Alcotest.(check int) "4 (N + adds) after join" (4 * (n + (3 * n)))
+    (Metrics.value c)
+
+let test_metrics_short_lived_domains () =
+  let c = Metrics.register "test_metrics_cells_short_lived" Metrics.Counter in
+  for _ = 1 to 50 do
+    List.iter Domain.join
+      (List.init 4 (fun _ -> Domain.spawn (fun () -> Metrics.hit c)))
+  done;
+  Alcotest.(check int) "200 exited domains fold exactly" 200 (Metrics.value c)
+
+let test_metrics_reset_live_domains () =
+  let c = Metrics.register "test_metrics_cells_reset" Metrics.Counter in
+  let phase = Atomic.make 0 in
+  let wait_for p = while Atomic.get phase < p do Domain.cpu_relax () done in
+  let d =
+    Domain.spawn (fun () ->
+        Metrics.add c 41;
+        Atomic.set phase 1;
+        wait_for 2;
+        Metrics.hit c)
+  in
+  wait_for 1;
+  Alcotest.(check int) "live domain's cells read" 41 (Metrics.value c);
+  Metrics.reset ();
+  Alcotest.(check int) "reset zeroes a live domain's cells" 0 (Metrics.value c);
+  Atomic.set phase 2;
+  Domain.join d;
+  Alcotest.(check int) "counting resumes from zero" 1 (Metrics.value c)
+
+let test_metrics_gauges () =
+  let g = Metrics.register "test_metrics_cells_gauge" Metrics.Gauge in
+  let c = Metrics.register "test_metrics_cells_not_gauge" Metrics.Counter in
+  Metrics.set g 5;
+  Alcotest.(check int) "set" 5 (Metrics.value g);
+  Metrics.observe_max g 3;
+  Alcotest.(check int) "observe_max keeps the peak" 5 (Metrics.value g);
+  Domain.join (Domain.spawn (fun () -> Metrics.observe_max g 9));
+  Alcotest.(check int) "observe_max from another domain" 9 (Metrics.value g);
+  Metrics.set g 2;
+  Alcotest.(check int) "set lowers" 2 (Metrics.value g);
+  let before = Metrics.snapshot () in
+  Metrics.set g 1;
+  Alcotest.(check int) "diff keeps the gauge's newer value" 1
+    (Metrics.find (Metrics.diff ~before ~after:(Metrics.snapshot ()))
+       "test_metrics_cells_gauge");
+  (match Metrics.set c 1 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "set on a counter should raise");
+  match Metrics.observe_max c 1 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "observe_max on a counter should raise"
+
+let test_metrics_snapshot_while_hitting () =
+  let c = Metrics.register "test_metrics_cells_busy" Metrics.Counter in
+  let late = Atomic.make None in
+  let stop = Atomic.make false in
+  let worker () =
+    let hits = ref 0 and late_hit = ref false in
+    while not (Atomic.get stop) do
+      Metrics.hit c;
+      incr hits;
+      (* a counter registered after this domain sized its cells *)
+      match Atomic.get late with
+      | Some l when not !late_hit ->
+        Metrics.hit l;
+        late_hit := true
+      | _ -> ()
+    done;
+    (!hits, !late_hit)
+  in
+  let ds = List.init 2 (fun _ -> Domain.spawn worker) in
+  for i = 1 to 500 do
+    ignore (Metrics.snapshot ());
+    if i = 100 then
+      Atomic.set late
+        (Some (Metrics.register "test_metrics_cells_late" Metrics.Counter))
+  done;
+  Atomic.set stop true;
+  let results = List.map Domain.join ds in
+  Alcotest.(check int) "every hit counted"
+    (List.fold_left (fun acc (h, _) -> acc + h) 0 results)
+    (Metrics.value c);
+  Alcotest.(check int) "late counter counted"
+    (List.length (List.filter snd results))
+    (Metrics.find (Metrics.snapshot ()) "test_metrics_cells_late")
+
 let test_metrics_export_formats () =
   let snap = Metrics.snapshot () in
   let prom = Format.asprintf "%a" Metrics.pp_prometheus snap in
@@ -539,6 +640,15 @@ let suite =
     Alcotest.test_case "checkpoint write span" `Quick test_checkpoint_write_span;
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
     Alcotest.test_case "metrics export formats" `Quick test_metrics_export_formats;
+    Alcotest.test_case "metrics: 4 domains count exactly" `Quick
+      test_metrics_domains_exact;
+    Alcotest.test_case "metrics: 200 short-lived domains" `Quick
+      test_metrics_short_lived_domains;
+    Alcotest.test_case "metrics: reset zeroes live domains" `Quick
+      test_metrics_reset_live_domains;
+    Alcotest.test_case "metrics: gauge set/observe_max" `Quick test_metrics_gauges;
+    Alcotest.test_case "metrics: snapshot while hitting" `Quick
+      test_metrics_snapshot_while_hitting;
     Alcotest.test_case "--trace-ring e2e" `Quick test_trace_ring_e2e;
     Alcotest.test_case "--stats counts the store open" `Quick test_stats_store_open_e2e;
   ]
