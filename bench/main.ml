@@ -189,18 +189,23 @@ let section_store () =
 
    Two claims are pinned. First, correctness-as-performance-contract: on
    the JBoss-like corpus (and the paper-scale QUEST corpus when its
-   config is present), mining under every shard count in {1,2,4,8} with
-   both executors — static largest-first root claiming (LPT) and the
-   work-stealing deque — produces output byte-identical to the
+   config is present), mining with the work-stealing executor under
+   every shard count in {1,2,4,8} produces output byte-identical to the
    sequential miner (enforced; a divergence fails the bench). Second,
    the scheduling claim: on a skewed-roots workload where one event
-   dominates every sequence, LPT degenerates to a single busy domain
-   while stealing splits the dominant subtree — stealing must actually
-   happen (steal_successes > 0, enforced) and must beat LPT wall-clock.
-   The wall-clock budget is only enforced on multi-core hosts: on one
-   core both executors serialize onto the same total work, so the
-   comparison is recorded but not gated (same caveat as the parallel
-   scaling section). Rows land in BENCH_core.json under "steal". *)
+   dominates every sequence, root-granular claiming (the executor with
+   [~split_len:0], which never splits a root) leaves a single busy
+   domain, while stealing splits the dominant subtree — stealing must
+   actually happen (steal_successes > 0, enforced) and must be no
+   slower than either root-granular claiming or the sequential miner.
+   This comparison runs on min(4, cores) domains, at least 2: with more
+   domains than cores, OCaml's stop-the-world minor collections wait
+   for descheduled domains, and any multi-domain run loses to the
+   sequential one whatever the schedule. The wall-clock budget is only
+   enforced on multi-core hosts: on one core both serialize onto the
+   same total work, so the comparison is recorded but not gated (same
+   caveat as the parallel scaling section). Rows land in
+   BENCH_core.json under "steal". *)
 
 let steal_rows = ref []
 
@@ -225,7 +230,7 @@ let section_steal () =
     done;
     !wall
   in
-  (* identity sweep: shards x executor vs the sequential miner *)
+  (* identity sweep: shards vs the sequential miner *)
   let jboss, _ = E.Exp_common.jboss_like () in
   let datasets =
     ("jboss_like", jboss, 18, 4)
@@ -240,25 +245,28 @@ let section_steal () =
        let p = Rgs_datagen.Quest_gen.load_config config_path in
        (* mine-all at a high threshold, as in the store section: the
           closure pass would multiply the work without changing what
-          this section pins (the executors) *)
+          this section pins (the executor) *)
        [ (Rgs_datagen.Quest_gen.label p, Rgs_datagen.Quest_gen.generate p,
           2000, 2) ])
   in
   let t =
     Rgs_post.Report.create
-      ~columns:[ "dataset"; "shards"; "executor"; "time_s"; "patterns" ]
+      ~columns:[ "dataset"; "shards"; "time_s"; "patterns" ]
   in
   List.iter
     (fun (name, db, min_sup, max_length) ->
       let idx = Inverted_index.build_kind Inverted_index.Kcsr db in
       let all_mode = min_sup >= 2000 in
-      let mine ~steal ~shards () =
-        if all_mode then
-          fst (Parallel_miner.mine_all ~domains ~max_length ~steal ~shards idx
-                 ~min_sup)
-        else
-          fst (Parallel_miner.mine_closed ~domains ~max_length ~steal ~shards
-                 idx ~min_sup)
+      let strategy =
+        if all_mode then Gsgrow.strategy
+        else Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true
+      in
+      let mine ~shards () =
+        let results, _, _ =
+          Parallel_miner.mine_steal ~domains ~max_length ~shards ~strategy idx
+            ~min_sup
+        in
+        results
       in
       let sequential =
         signatures
@@ -267,32 +275,29 @@ let section_steal () =
       in
       List.iter
         (fun shards ->
-          List.iter
-            (fun (label, steal) ->
-              let out = signatures (mine ~steal ~shards ()) in
-              if out <> sequential then
-                failwith
-                  (Printf.sprintf
-                     "steal bench: %s shards=%d %s: output differs from the \
-                      sequential miner"
-                     name shards label);
-              let wall = best (fun () -> ignore (mine ~steal ~shards ())) in
-              Rgs_post.Report.add_row t
-                [ name; string_of_int shards; label;
-                  Rgs_post.Report.cell_float wall;
-                  string_of_int (List.length out) ];
-              steal_rows :=
-                Printf.sprintf
-                  "    {\"dataset\": %S, \"min_sup\": %d, \"domains\": %d, \
-                   \"shards\": %d, \"executor\": %S, \"wall_s\": %.6f, \
-                   \"patterns\": %d, \"outputs_identical\": true}"
-                  name min_sup domains shards label wall (List.length out)
-                :: !steal_rows)
-            [ ("lpt", false); ("steal", true) ])
+          let out = signatures (mine ~shards ()) in
+          if out <> sequential then
+            failwith
+              (Printf.sprintf
+                 "steal bench: %s shards=%d: output differs from the \
+                  sequential miner"
+                 name shards);
+          let wall = best (fun () -> ignore (mine ~shards ())) in
+          Rgs_post.Report.add_row t
+            [ name; string_of_int shards;
+              Rgs_post.Report.cell_float wall;
+              string_of_int (List.length out) ];
+          steal_rows :=
+            Printf.sprintf
+              "    {\"dataset\": %S, \"min_sup\": %d, \"domains\": %d, \
+               \"shards\": %d, \"wall_s\": %.6f, \"patterns\": %d, \
+               \"outputs_identical\": true}"
+              name min_sup domains shards wall (List.length out)
+            :: !steal_rows)
         [ 1; 2; 4; 8 ])
     datasets;
-  print_table "shards x executor — outputs checked against sequential" t;
-  (* the scheduling claim: skewed roots, LPT vs stealing *)
+  print_table "shards — outputs checked against sequential" t;
+  (* the scheduling claim: skewed roots, root-granular vs stealing *)
   let skew =
     let st = Random.State.make [| 77 |] in
     Seqdb.of_sequences
@@ -303,49 +308,67 @@ let section_steal () =
                   else 1 + Random.State.int st 19))))
   in
   let min_sup = 40 and max_length = 5 in
+  let cores = Domain.recommended_domain_count () in
+  let domains = max 2 (min domains cores) in
   let idx = Inverted_index.build_kind Inverted_index.Kcsr skew in
   let sequential = signatures (fst (Clogsgrow.mine ~max_length idx ~min_sup)) in
-  let run ~steal () =
-    fst (Parallel_miner.mine_closed ~domains ~max_length ~steal idx ~min_sup)
+  let run ?split_len () =
+    let results, _, _ =
+      Parallel_miner.mine_steal ~domains ~max_length ?split_len
+        ~strategy:(Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true)
+        idx ~min_sup
+    in
+    results
   in
   List.iter
-    (fun (label, steal) ->
-      if signatures (run ~steal ()) <> sequential then
+    (fun (label, split_len) ->
+      if signatures (run ~split_len ()) <> sequential then
         failwith
           (Printf.sprintf "steal bench: skew %s: output differs from the \
                            sequential miner" label))
-    [ ("lpt", false); ("steal", true) ];
-  let lpt_wall = best (fun () -> ignore (run ~steal:false ())) in
+    [ ("root-granular", 0); ("steal", 2) ];
+  let seq_wall =
+    best (fun () -> ignore (Clogsgrow.mine ~max_length idx ~min_sup))
+  in
+  let roots_wall = best (fun () -> ignore (run ~split_len:0 ())) in
   let before = Metrics.snapshot () in
-  let steal_wall = best (fun () -> ignore (run ~steal:true ())) in
+  let steal_wall = best (fun () -> ignore (run ())) in
   let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
   let attempts = Metrics.find d "steal_attempts" in
   let successes = Metrics.find d "steal_successes" in
-  let cores = Domain.recommended_domain_count () in
   let enforced = cores >= 2 in
   Format.printf
-    "skewed roots (48 seqs, 85%% one event): lpt %.3fs, steal %.3fs \
-     (%.2fx), %d/%d steals landed%s@."
-    lpt_wall steal_wall (lpt_wall /. steal_wall) successes attempts
+    "skewed roots (48 seqs, 85%% one event, %d domains): sequential %.3fs, \
+     root-granular %.3fs, steal %.3fs (%.2fx root-granular, %.2fx \
+     sequential), %d/%d steals landed%s@."
+    domains seq_wall roots_wall steal_wall (roots_wall /. steal_wall)
+    (seq_wall /. steal_wall) successes attempts
     (if enforced then "" else " [1-core host: wall-clock budget not enforced]");
   if successes = 0 then
     failwith
       "steal bench: steal_successes = 0 — the skewed workload no longer \
        triggers stealing";
-  if enforced && steal_wall > lpt_wall then
+  if enforced && steal_wall > roots_wall then
     failwith
       (Printf.sprintf
-         "steal bench: stealing (%.3fs) is slower than LPT (%.3fs) on the \
-          skewed-roots workload"
-         steal_wall lpt_wall);
+         "steal bench: stealing (%.3fs) is slower than root-granular claiming \
+          (%.3fs) on the skewed-roots workload"
+         steal_wall roots_wall);
+  if enforced && steal_wall > seq_wall then
+    failwith
+      (Printf.sprintf
+         "steal bench: stealing (%.3fs) is slower than the sequential miner \
+          (%.3fs) on the skewed-roots workload"
+         steal_wall seq_wall);
   steal_rows :=
     Printf.sprintf
       "    {\"dataset\": \"skewed_roots\", \"min_sup\": %d, \"domains\": %d, \
-       \"lpt_wall_s\": %.6f, \"steal_wall_s\": %.6f, \"speedup_x\": %.2f, \
+       \"sequential_wall_s\": %.6f, \"root_granular_wall_s\": %.6f, \
+       \"steal_wall_s\": %.6f, \"speedup_x\": %.2f, \
        \"steal_attempts\": %d, \"steal_successes\": %d, \"host_cores\": %d, \
        \"wall_budget_enforced\": %b, \"outputs_identical\": true}"
-      min_sup domains lpt_wall steal_wall (lpt_wall /. steal_wall) attempts
-      successes cores enforced
+      min_sup domains seq_wall roots_wall steal_wall (roots_wall /. steal_wall)
+      attempts successes cores enforced
     :: !steal_rows
 
 (* --- Section H: supervised multi-process shard workers ---
@@ -712,65 +735,6 @@ let section_layout () =
         Inverted_index.[ Kcsr; Klegacy; Kpaged ])
     datasets;
   print_table "galloping seek — per-backend seek-work decomposition (GSgrow)" gt;
-  (* Pool scheduling: largest-root-first vs index-order claiming. The
-     output must be bit-identical (the pool's merge is claim-order
-     independent); only wall time may move. *)
-  let schedule_rows = ref [] in
-  let st =
-    Rgs_post.Report.create
-      ~columns:[ "dataset"; "schedule"; "domains"; "time_s"; "patterns" ]
-  in
-  List.iter
-    (fun (name, path, min_sup, max_length) ->
-      let db, _codec = Seq_io.load_tokens path in
-      let idx = Inverted_index.build_kind Inverted_index.Kcsr db in
-      let domains = Parallel_miner.default_domains () in
-      let run schedule =
-        ignore
-          (Parallel_miner.mine_closed ~domains ?max_length ~schedule idx
-             ~min_sup);
-        let out = ref [] in
-        let wall = ref infinity in
-        for _ = 1 to reps do
-          let (results, _), elapsed =
-            E.Exp_common.time (fun () ->
-                Parallel_miner.mine_closed ~domains ?max_length ~schedule idx
-                  ~min_sup)
-          in
-          out := signatures results;
-          if elapsed < !wall then wall := elapsed
-        done;
-        (!out, !wall)
-      in
-      let out_index, wall_index = run `Index in
-      let out_largest, wall_largest = run `Largest_first in
-      if out_index <> out_largest then
-        failwith
-          (Printf.sprintf
-             "pool schedule bench: %s: largest-first output differs from \
-              index order"
-             name);
-      let row label wall =
-        Rgs_post.Report.add_row st
-          [ name; label; string_of_int domains;
-            Rgs_post.Report.cell_float wall;
-            string_of_int (List.length out_index) ];
-        schedule_rows :=
-          Printf.sprintf
-            "    {\"dataset\": %S, \"schedule\": %S, \"domains\": %d, \
-             \"min_sup\": %d, \"wall_s\": %.6f, \"patterns\": %d, \
-             \"outputs_identical\": true}"
-            name label domains min_sup wall (List.length out_index)
-          :: !schedule_rows
-      in
-      row "index" wall_index;
-      row "largest_first" wall_largest;
-      Format.printf "%s: largest-first %.2fx vs index order (outputs identical)@."
-        name
-        (wall_index /. wall_largest))
-    datasets;
-  print_table
-    "pool scheduling — CloGSgrow, index order vs largest-root-first" st;
   (* Closure funnel: how the Theorem 5 pre-filter splits candidate
      extensions as min_sup tightens — checks that were rejected outright
      vs those that had to grow their base (and of these, how many grew to
@@ -821,7 +785,7 @@ let section_layout () =
       "{\n  \"bench\": \"columnar layout, legacy vs CSR\",\n  \"reps\": %d,\n  \
        \"runs\": [\n%s\n  ],\n  \"speedups\": [\n%s\n  ],\n  \
        \"trace_overhead\": [\n%s\n  ],\n  \"seek_gallop\": [\n%s\n  ],\n  \
-       \"pool_schedule\": [\n%s\n  ],\n  \"closure_funnel\": [\n%s\n  ],\n  \
+       \"closure_funnel\": [\n%s\n  ],\n  \
        \"store\": [\n%s\n  ],\n  \"steal\": [\n%s\n  ],\n  \
        \"supervise\": [\n%s\n  ]\n}\n"
       reps
@@ -829,7 +793,6 @@ let section_layout () =
       (String.concat ",\n" (List.rev !speedups))
       (String.concat ",\n" (List.rev !trace_rows))
       (String.concat ",\n" (List.rev !gallop_rows))
-      (String.concat ",\n" (List.rev !schedule_rows))
       (String.concat ",\n" (List.rev !funnel_rows))
       (String.concat ",\n" (List.rev !store_rows))
       (String.concat ",\n" (List.rev !steal_rows))
@@ -908,9 +871,11 @@ let section_parallel () =
   in
   List.iter
     (fun domains ->
-      let (results, _), elapsed =
+      let (results, _, _), elapsed =
         E.Exp_common.time (fun () ->
-            Parallel_miner.mine_closed ~domains ~max_length:5 idx ~min_sup:18)
+            Parallel_miner.mine_steal ~domains ~max_length:5
+              ~strategy:(Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true)
+              idx ~min_sup:18)
       in
       Rgs_post.Report.add_row t
         [ string_of_int domains; Rgs_post.Report.cell_float elapsed;
@@ -1184,7 +1149,7 @@ let section_query () =
     let oc = open_out json_path in
     Printf.fprintf oc
       "{\n  \"bench\": \"query answer modes, in-DFS pruning vs mine-all\",\n  \
-       \"mine_all\": [\n%s\n  ],\n  \"top_k\": [\n%s\n  ],\n  \
+       \"all_patterns\": [\n%s\n  ],\n  \"top_k\": [\n%s\n  ],\n  \
        \"targeted\": [\n%s\n  ],\n  \"delta_cover\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" (List.rev !all_rows))
       (String.concat ",\n" (List.rev !topk_rows))

@@ -85,7 +85,7 @@ let resolve_auto = function
   | n -> n
 
 let run input store format min_sup all max_length max_patterns limit instances max_gap parallel
-    shards workers steal index_kind deadline max_nodes max_words target top_k compress_delta
+    shards workers index_kind deadline max_nodes max_words target top_k compress_delta
     checkpoint resume retry_quarantined
     trace_file trace_level trace_ring stats_file stats_interval verbose =
   setup_logs verbose;
@@ -100,18 +100,6 @@ let run input store format min_sup all max_length max_patterns limit instances m
   end;
   if (input = None) = (store = None) then begin
     Format.eprintf "rgsminer: exactly one of FILE or --store is required@.";
-    exit 1
-  end;
-  if steal && (checkpoint <> None || resume) then begin
-    Format.eprintf
-      "rgsminer: --steal does not checkpoint; drop --checkpoint/--resume or \
-       use --parallel@.";
-    exit 1
-  end;
-  if workers <> None && steal then begin
-    Format.eprintf
-      "rgsminer: --workers (supervised shard processes) cannot be combined \
-       with --steal@.";
     exit 1
   end;
   let workers = resolve_auto workers in
@@ -140,13 +128,9 @@ let run input store format min_sup all max_length max_patterns limit instances m
     in
     Format.printf "%a@.@." Seqdb.pp_stats (Seqdb.stats db);
     let mode = if all then Miner.All else Miner.Closed in
-    (* --steal implies a domain pool: dynamic work stealing is a property
-       of the parallel executor *)
     let domains =
-      if parallel || steal then Some (Parallel_miner.default_domains ())
-      else None
+      if parallel then Some (Parallel_miner.default_domains ()) else None
     in
-    let max_patterns = if parallel || steal then None else max_patterns in
     let query =
       match (target, top_k) with
       | Some t, _ -> Query.Targeted (parse_target format codec t)
@@ -171,7 +155,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
     in
     let config =
       Miner.config ~mode ~query ?max_length ?max_patterns ?max_gap ?domains
-        ?shards ~steal ?index_kind ?deadline_s:deadline ?max_nodes ?max_words
+        ?shards ?index_kind ?deadline_s:deadline ?max_nodes ?max_words
         ?shard_dispatch:
           (Option.map Rgs_server.Supervisor.dispatch supervisor)
         ~min_sup ()
@@ -193,13 +177,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
     let finish_ticker () = Option.iter Rgs_server.Stats_dump.stop ticker in
     let report =
       match
-        (* queried parallel runs also go through the root-partitioned
-           driver: its per-root plans compose with domain pools, which
-           [Miner.mine] rejects *)
-        if
-          checkpoint <> None || resume
-          || (query <> Query.All && domains <> None && not steal)
-        then
+        if checkpoint <> None || resume then
           Miner.mine_resumable ?checkpoint ~resume ~retry_quarantined ~trace
             config db
         else Miner.mine ~config ~trace db
@@ -330,7 +308,9 @@ let max_length =
 
 let max_patterns =
   Arg.(value & opt (some int) None & info [ "max-patterns" ] ~docv:"N"
-         ~doc:"Stop after N patterns (output becomes a prefix of the full answer).")
+         ~doc:"Stop after N patterns (output becomes a prefix of the full answer). \
+               Sequential mining only: refused with $(b,--parallel) and \
+               $(b,--checkpoint).")
 
 let limit =
   Arg.(value & opt int 25 & info [ "limit"; "n" ] ~docv:"N"
@@ -347,8 +327,16 @@ let max_gap =
                patterns, not closed ones).")
 
 let parallel =
-  Arg.(value & flag & info [ "parallel"; "p" ]
-         ~doc:"Mine with one domain per core (ignored with $(b,--max-gap)).")
+  Arg.(value & flag & info [ "parallel"; "p"; "steal" ]
+         ~doc:"Mine with one domain per core (at most 8) on the work-stealing \
+               executor: idle domains steal deferred DFS subtrees from busy \
+               ones, so one dominant root does not serialize the run. Output \
+               is identical to the sequential miner in every mode, including \
+               $(b,--max-gap), $(b,--target) and $(b,--checkpoint); with \
+               $(b,--top-k) the supports are identical, and patterns tied at \
+               the k-th support are chosen canonically (as with \
+               $(b,--checkpoint)) rather than by DFS arrival. Not compatible \
+               with $(b,--max-patterns).")
 
 (* a shard/worker count, or "auto" (parsed as 0) for the machine's
    recommended domain count *)
@@ -383,17 +371,7 @@ let workers =
                restarted with exponential backoff when they crash, hang or \
                corrupt a frame; flapping shards are quarantined and the run \
                degrades to in-process growth — the mined output is identical \
-               in every case. Not compatible with $(b,--steal).")
-
-let steal =
-  Arg.(value & flag & info [ "steal" ]
-         ~doc:"Parallel mining with dynamic work stealing: idle domains steal \
-               deferred DFS subtrees from busy ones instead of waiting at \
-               root granularity, which helps skewed databases where one root \
-               dominates. Implies $(b,--parallel); output is identical to the \
-               sequential miner. Works with $(b,--max-gap), $(b,--target) and \
-               $(b,--top-k), but not with $(b,--checkpoint)/$(b,--resume) or \
-               $(b,--max-patterns).")
+               in every case.")
 
 let index_kind =
   let kind_conv =
@@ -446,15 +424,16 @@ let compress_delta =
 
 let checkpoint =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
-         ~doc:"Checkpoint completed DFS roots to FILE (written atomically when the \
-               run ends for any reason). Implies root-partitioned mining; not \
-               compatible with $(b,--max-gap) or $(b,--max-patterns).")
+         ~doc:"Checkpoint completed DFS roots to FILE, one record per root as it \
+               completes. Mines root by root on the work-stealing executor \
+               (one domain unless $(b,--parallel)); not compatible with \
+               $(b,--max-patterns).")
 
 let resume =
   Arg.(value & flag & info [ "resume" ]
          ~doc:"Resume from the $(b,--checkpoint) file, mining only the roots it \
                does not already cover. The checkpoint must match the input data, \
-               threshold, mode and $(b,--max-length).")
+               threshold, mode, $(b,--max-length), $(b,--max-gap) and query.")
 
 let retry_quarantined =
   Arg.(value & flag & info [ "retry-quarantined" ]
@@ -565,7 +544,7 @@ let pack_cmd =
 let mine_term =
   Term.(const run $ input $ store_arg $ format $ min_sup $ all $ max_length
         $ max_patterns $ limit
-        $ instances $ max_gap $ parallel $ shards $ workers $ steal $ index_kind $ deadline $ max_nodes
+        $ instances $ max_gap $ parallel $ shards $ workers $ index_kind $ deadline $ max_nodes
         $ max_words $ target $ top_k $ compress_delta $ checkpoint $ resume
         $ retry_quarantined $ trace_file $ trace_level $ trace_ring
         $ stats_file $ stats_interval $ verbose)

@@ -58,7 +58,7 @@ let matches kind site =
   | _ -> false
 
 let inject plan f =
-  (* pool workers fire sites from several domains at once *)
+  (* executor workers fire sites from several domains at once *)
   let fired = Atomic.make 0 in
   Budget.Fault.with_hook
     (fun site ->

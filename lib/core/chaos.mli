@@ -8,8 +8,9 @@
 
     {e mined output restricted to non-quarantined roots equals the
     fault-free run} ({!check_invariant}), and no injected fault ever
-    escapes [mine_all]/[mine_closed]/[mine_resumable] as an uncaught
-    exception.
+    escapes the parallel executor ({!Parallel_miner.mine_roots}, and so
+    a parallel {!Miner.mine} or any {!Miner.mine_resumable}) as an
+    uncaught exception.
 
     Transient faults must be fully absorbed (retry recovers the root, the
     output is byte-identical); persistent faults may cost quarantined
@@ -31,7 +32,7 @@ type site_kind =
       (** {!Budget.Fault.Socket_write}: fail a daemon response-frame
           write (EPIPE/ECONNRESET stand-in) *)
   | Steal
-      (** {!Budget.Fault.Steal}: crash a pool worker right after it stole
+      (** {!Budget.Fault.Steal}: crash an executor worker right after it stole
           a DFS subtree (steal-in-flight crash) *)
   | Shard_merge
       (** {!Budget.Fault.Shard_merge}: cancel a sharded growth pass
@@ -64,7 +65,7 @@ val plans : ?kinds:site_kind list -> seed:int -> count:int -> unit -> plan list
 val inject : plan -> (unit -> 'a) -> 'a
 (** Run a thunk with the plan installed as the {!Budget.Fault} hook
     (firing counter starts at zero). The counter is atomic, so plans
-    behave under pool parallelism; with more than one domain the {e root}
+    behave under the executor's parallelism; with more than one domain the {e root}
     hit by the nth firing may vary, which the invariant is insensitive
     to. Not reentrant — plans do not compose with an already-installed
     hook. *)

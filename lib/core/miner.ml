@@ -12,46 +12,44 @@ type config = {
   domains : int option;
   shards : int option;
   shard_dispatch : Shard_merge.dispatch option;
-  steal : bool;
-  paged_index : bool;
   index_kind : Inverted_index.kind option;
   deadline_s : float option;
   max_nodes : int option;
   max_words : int option;
 }
 
+let at_least name bound = function
+  | Some n when n < bound ->
+    invalid_arg (Printf.sprintf "Miner: %s must be >= %d" name bound)
+  | _ -> ()
+
+(* Range checks, plus the combination rules every entry point shares:
+   [max_patterns] truncates to a prefix of the DFS order, so it excludes
+   a top-k query and needs the sequential path (no [domains]; no
+   checkpoint either, checked in [mine_resumable]). *)
 let validate_config cfg =
   if cfg.min_sup < 1 then invalid_arg "Miner: min_sup must be >= 1";
   Query.validate cfg.query;
+  at_least "max_gap" 0 cfg.max_gap;
+  at_least "domains" 1 cfg.domains;
+  at_least "shards" 1 cfg.shards;
+  (match cfg.deadline_s with
+  | Some d when d < 0.0 -> invalid_arg "Miner: deadline_s must be >= 0"
+  | _ -> ());
+  at_least "max_nodes" 0 cfg.max_nodes;
+  at_least "max_words" 1 cfg.max_words;
   (match (cfg.query, cfg.max_patterns) with
   | Query.Top_k _, Some _ ->
     invalid_arg "Miner: max_patterns cannot be combined with a top-k query"
   | _ -> ());
-  (match cfg.shards with
-  | Some s when s < 1 -> invalid_arg "Miner: shards must be >= 1"
-  | _ -> ());
+  if cfg.max_patterns <> None && cfg.domains <> None then
+    invalid_arg "Miner: domains cannot be combined with max_patterns";
   if cfg.shard_dispatch <> None && cfg.shards = None then
-    invalid_arg "Miner: shard_dispatch requires shards";
-  if cfg.shard_dispatch <> None && cfg.steal then
-    invalid_arg "Miner: shard_dispatch cannot be combined with steal";
-  if cfg.steal && cfg.domains = None then
-    invalid_arg "Miner: steal requires domains";
-  if cfg.steal && cfg.max_patterns <> None then
-    invalid_arg "Miner: steal cannot be combined with max_patterns";
-  (match cfg.deadline_s with
-  | Some d when d < 0.0 -> invalid_arg "Miner: deadline_s must be >= 0"
-  | _ -> ());
-  (match cfg.max_nodes with
-  | Some n when n < 0 -> invalid_arg "Miner: max_nodes must be >= 0"
-  | _ -> ());
-  match cfg.max_words with
-  | Some w when w < 1 -> invalid_arg "Miner: max_words must be >= 1"
-  | _ -> ()
+    invalid_arg "Miner: shard_dispatch requires shards"
 
 let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
-    ?max_gap ?domains ?shards ?shard_dispatch ?(steal = false)
-    ?(paged_index = false) ?index_kind ?deadline_s ?max_nodes ?max_words
-    ~min_sup () =
+    ?max_gap ?domains ?shards ?shard_dispatch ?steal:(_ : bool option)
+    ?index_kind ?deadline_s ?max_nodes ?max_words ~min_sup () =
   let cfg =
     {
       min_sup;
@@ -63,8 +61,6 @@ let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
       domains;
       shards;
       shard_dispatch;
-      steal;
-      paged_index;
       index_kind;
       deadline_s;
       max_nodes;
@@ -74,13 +70,10 @@ let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
   validate_config cfg;
   cfg
 
-(* [index_kind] wins over the older [paged_index] flag when both are set. *)
 let build_index cfg db =
   match cfg.index_kind with
   | Some kind -> Inverted_index.build_kind kind db
-  | None ->
-    if cfg.paged_index then Inverted_index.build_paged db
-    else Inverted_index.build db
+  | None -> Inverted_index.build db
 
 type report = {
   results : Mined.t list;
@@ -107,7 +100,6 @@ let describe cfg =
       (match cfg.domains with Some d -> Printf.sprintf ", %d domains" d | None -> "");
       (match cfg.shards with Some s -> Printf.sprintf ", %d shards" s | None -> "");
       (if cfg.shard_dispatch <> None then " (supervised)" else "");
-      (if cfg.steal then ", stealing" else "");
       (match cfg.max_length with Some l -> Printf.sprintf ", max_length=%d" l | None -> "");
       (match cfg.max_patterns with Some b -> Printf.sprintf ", max_patterns=%d" b | None -> "");
       (match cfg.deadline_s with Some d -> Printf.sprintf ", deadline=%gs" d | None -> "");
@@ -125,22 +117,12 @@ let budget_of cfg =
   | deadline_s, max_nodes, max_words ->
     Some (Budget.create ?deadline_s ?max_nodes ?max_words ())
 
-(* The strategy a config's sequential DFS runs under — shared by the
-   query path here and the per-root query path of [mine_resumable]. *)
+(* The strategy a config's DFS runs under, on either path. *)
 let strategy_of cfg =
   match (cfg.max_gap, cfg.mode) with
   | Some max_gap, _ -> Gap_constrained.strategy ~min_gap:0 ~max_gap
   | None, All -> Gsgrow.strategy
   | None, Closed -> Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true
-
-(* The shard layout a config asks for, computed once per run from the
-   index's backing database ([None] = unsharded). *)
-let layout_of cfg idx =
-  Option.map
-    (fun n ->
-      Shard_merge.make ?dispatch:cfg.shard_dispatch (Inverted_index.db idx)
-        ~shards:n)
-    cfg.shards
 
 (* Under a top-k query the floor rises fastest when big subtrees are
    explored first, so roots are visited in descending single-event
@@ -158,9 +140,10 @@ let query_root_order cfg idx events =
          events)
   | Query.All | Query.Targeted _ -> None
 
-(* Answer-mode pruning inside the DFS: one engine run under the query's
-   plan, with the query's collector as the sink. *)
-let mine_query ?trace cfg idx ~budget =
+(* The sequential path: one engine run under the query's plan, with the
+   query's collector as the sink. The reference DFS every differential
+   compares against, and the only path that honours [max_patterns]. *)
+let mine_sequential ?trace cfg idx ~budget =
   let events = Inverted_index.frequent_events idx ~min_sup:cfg.min_sup in
   let collector =
     Query.collector ?max_length:cfg.max_length ~events ~min_sup:cfg.min_sup
@@ -175,9 +158,8 @@ let mine_query ?trace cfg idx ~budget =
     | _ -> ()
   in
   let strategy =
-    match layout_of cfg idx with
-    | None -> strategy_of cfg
-    | Some sm -> Shard_merge.strategy ?trace sm (strategy_of cfg)
+    Shard_merge.wrap ?dispatch:cfg.shard_dispatch ?shards:cfg.shards ?trace
+      (Inverted_index.db idx) (strategy_of cfg)
   in
   let s =
     Engine.run ?max_length:cfg.max_length ~events
@@ -186,98 +168,16 @@ let mine_query ?trace cfg idx ~budget =
   in
   (collector.Query.results (), s.Engine.outcome)
 
-let mine_indexed ?trace cfg idx =
-  validate_config cfg;
-  (match (cfg.domains, cfg.max_patterns, cfg.max_gap) with
-  | Some _, Some _, _ ->
-    invalid_arg "Miner: domains cannot be combined with max_patterns"
-  | Some _, _, Some _ when not cfg.steal ->
-    invalid_arg "Miner: domains cannot be combined with max_gap"
-  | _ -> ());
-  (match (cfg.query, cfg.domains) with
-  | Query.All, _ | _, None -> ()
-  | _, Some _ ->
-    if not cfg.steal then
-      invalid_arg
-        "Miner: domains cannot be combined with a query here (use \
-         mine_resumable, or steal)");
-  Log.info (fun m -> m "mining %s patterns, min_sup=%d" (describe cfg) cfg.min_sup);
-  let budget = budget_of cfg in
-  let start = Unix.gettimeofday () in
-  let results, outcome, quarantined =
-    match (cfg.steal, cfg.domains) with
-    | true, Some domains ->
-      (* the stealing executor handles every mode and query uniformly:
-         the strategy captures gap/closure behaviour, the query runs
-         through the shared thread-safe plan *)
-      let results, stats, quarantined =
-        Parallel_miner.mine_steal ~domains ?max_length:cfg.max_length ?budget
-          ?trace ?shards:cfg.shards ~query:cfg.query
-          ~strategy:(strategy_of cfg) idx ~min_sup:cfg.min_sup
-      in
-      (results, stats.Engine.outcome, quarantined)
-    | true, None -> assert false (* validate_config rejects *)
-    | false, _ ->
-      let results, outcome =
-        match (cfg.query, cfg.max_gap, cfg.domains, cfg.mode) with
-        | (Query.Targeted _ | Query.Top_k _), _, _, _ ->
-          mine_query ?trace cfg idx ~budget
-        | Query.All, Some max_gap, _, _ ->
-          let results, stats =
-            Gap_constrained.mine ?max_length:cfg.max_length
-              ?max_patterns:cfg.max_patterns ?budget ?trace
-              ?shards:(layout_of cfg idx) idx ~max_gap ~min_sup:cfg.min_sup
-          in
-          (results, stats.Gap_constrained.outcome)
-        | Query.All, None, Some domains, All ->
-          let results, stats =
-            Parallel_miner.mine_all ~domains ?max_length:cfg.max_length ?budget
-              ?trace ?shards:cfg.shards ?shard_dispatch:cfg.shard_dispatch idx
-              ~min_sup:cfg.min_sup
-          in
-          (results, stats.Gsgrow.outcome)
-        | Query.All, None, Some domains, Closed ->
-          let results, stats =
-            Parallel_miner.mine_closed ~domains ?max_length:cfg.max_length
-              ?budget ?trace ?shards:cfg.shards
-              ?shard_dispatch:cfg.shard_dispatch idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Clogsgrow.outcome)
-        | Query.All, None, None, All ->
-          let results, stats =
-            Gsgrow.mine ?max_length:cfg.max_length
-              ?max_patterns:cfg.max_patterns ?budget ?trace
-              ?shards:(layout_of cfg idx) idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Gsgrow.outcome)
-        | Query.All, None, None, Closed ->
-          let results, stats =
-            Clogsgrow.mine ?max_length:cfg.max_length
-              ?max_patterns:cfg.max_patterns ?budget ?trace
-              ?shards:(layout_of cfg idx) idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Clogsgrow.outcome)
-      in
-      (results, outcome, 0)
-  in
+let finished_report ~start results outcome quarantined =
   let elapsed_s = Unix.gettimeofday () -. start in
   Log.info (fun m ->
       m "found %d pattern(s) (%a) in %.3fs" (List.length results) Budget.pp outcome
         elapsed_s);
   { results; truncated = Budget.is_stop outcome; outcome; elapsed_s; quarantined }
 
-let mine ?config:cfg ?min_sup ?trace db =
-  let cfg =
-    match (cfg, min_sup) with
-    | Some c, _ -> c
-    | None, Some min_sup -> config ~min_sup ()
-    | None, None -> invalid_arg "Miner.mine: provide ~config or ~min_sup"
-  in
-  let idx = build_index cfg db in
-  mine_indexed ?trace cfg idx
-
-(* --- checkpoint/resume driver --- *)
-
+(* The query and the gap bound are appended only when set, so checkpoints
+   written before either existed keep their fingerprints; a resumed run
+   under a {e different} query or gap is refused (Checkpoint.Corrupt). *)
 let checkpoint_fingerprint cfg db =
   Checkpoint.fingerprint
     ~params:
@@ -286,66 +186,50 @@ let checkpoint_fingerprint cfg db =
          string_of_int cfg.min_sup;
          (match cfg.max_length with Some l -> string_of_int l | None -> "-");
        ]
+      @ (match cfg.query with
+        | Query.All -> []
+        | q -> [ "query=" ^ Query.to_string q ])
       @
-      (* appended only for non-trivial queries, so checkpoints written
-         before queries existed keep their fingerprints; a resumed run
-         under a {e different} query is refused (Checkpoint.Corrupt) *)
-      match cfg.query with
-      | Query.All -> []
-      | q -> [ "query=" ^ Query.to_string q ])
+      match cfg.max_gap with
+      | None -> []
+      | Some g -> [ "max_gap=" ^ string_of_int g ])
     db
 
-(* Chaos/testing knob: slow every root down so an external harness has a
-   deterministic window to deliver signals or kill -9 mid-run. Unset (the
-   default) costs one load per root. *)
-let chaos_root_delay_s =
-  lazy
-    (match Sys.getenv_opt "RGS_CHAOS_ROOT_DELAY_MS" with
-    | None -> 0.0
-    | Some v -> ( try float_of_string v /. 1000.0 with Failure _ -> 0.0))
-
-let mine_resumable ?budget ?checkpoint ?(resume = false)
-    ?(retry_quarantined = false) ?(trace = Trace.null) cfg db =
-  validate_config cfg;
-  if cfg.max_gap <> None then
-    invalid_arg "Miner: checkpointing is not supported with max_gap";
-  if cfg.max_patterns <> None then
-    invalid_arg "Miner: checkpointing is not supported with max_patterns";
-  if cfg.steal then
-    invalid_arg "Miner: checkpointing is not supported with steal";
-  if resume && checkpoint = None then
-    invalid_arg "Miner: resume requires a checkpoint path";
+(* The partitioned path: the stealing executor over the frontier roots
+   (every frequent root minus those a resumed checkpoint already covers),
+   one domain unless [domains] says otherwise. *)
+let mine_partitioned ?budget ?checkpoint ?(resume = false)
+    ?(retry_quarantined = false) ?(trace = Trace.null) cfg idx =
   let start = Unix.gettimeofday () in
-  let idx = build_index cfg db in
   let events = Inverted_index.frequent_events idx ~min_sup:cfg.min_sup in
-  let fp = checkpoint_fingerprint cfg db in
+  (* hashes the database content, so only a checkpointed run pays it *)
+  let fp = lazy (checkpoint_fingerprint cfg (Inverted_index.db idx)) in
   let prior =
     match (resume, checkpoint) with
-    | true, Some path -> Checkpoint.load_opt ~path ~expected_fingerprint:fp
+    | true, Some path ->
+      Checkpoint.load_opt ~path ~expected_fingerprint:(Lazy.force fp)
     | _ -> None
   in
-  let prior_completed =
-    match prior with None -> [] | Some c -> c.Checkpoint.completed
-  in
-  let prior_quarantined =
-    match prior with None -> [] | Some c -> c.Checkpoint.quarantined
-  in
   let completed_results : (Event.t, Mined.t list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun { Checkpoint.root; results } ->
-      Hashtbl.replace completed_results root results)
-    prior_completed;
+  Option.iter
+    (fun c ->
+      List.iter
+        (fun { Checkpoint.root; results } ->
+          Hashtbl.replace completed_results root results)
+        c.Checkpoint.completed)
+    prior;
   (* Quarantined roots stay off the frontier — a poison root must not
      re-crash every resume — unless the caller explicitly asks to re-mine
      them ([retry_quarantined], e.g. after fixing the cause). *)
-  let skip_quarantined = not retry_quarantined in
   let quarantined_skipped : (Event.t, unit) Hashtbl.t = Hashtbl.create 8 in
-  if skip_quarantined then
+  (match prior with
+  | Some c when not retry_quarantined ->
     List.iter
       (fun (q : Checkpoint.quarantine) ->
         if not (Hashtbl.mem completed_results q.root) then
           Hashtbl.replace quarantined_skipped q.root ())
-      prior_quarantined;
+      c.Checkpoint.quarantined
+  | _ -> ());
   let remaining =
     List.filter
       (fun root ->
@@ -365,21 +249,14 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
   let budget =
     match budget with Some b -> Some b | None -> budget_of cfg
   in
-  let roots = Array.of_list remaining in
-  let domains =
-    match cfg.domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Miner: domains must be >= 1";
-      d
-    | None -> 1
-  in
   let writer =
     Option.map
       (fun path ->
         let initial =
           match prior with Some c -> Checkpoint.records_of c | None -> []
         in
-        Checkpoint.Writer.create ~trace ~initial ~path ~fingerprint:fp ())
+        Checkpoint.Writer.create ~trace ~initial ~path
+          ~fingerprint:(Lazy.force fp) ())
       checkpoint
   in
   (* Append one [Root_done] record the moment a root completes — that is
@@ -387,126 +264,63 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
      [logged] feeds the Checkpoint_write span args (completed, remaining). *)
   let total_roots = List.length events in
   let logged = Atomic.make (Hashtbl.length completed_results) in
-  let log_root_done root results =
-    match writer with
-    | None -> ()
-    | Some w ->
-      let t0 = Trace.now trace in
-      Checkpoint.Writer.append w (Checkpoint.Root_done { root; results });
-      let done_now = 1 + Atomic.fetch_and_add logged 1 in
-      Trace.span trace Trace.Checkpoint_write ~a0:done_now
-        ~a1:(total_roots - done_now) ~start:t0
+  let on_root_done =
+    Option.map
+      (fun w root results ->
+        let t0 = Trace.now trace in
+        Checkpoint.Writer.append w (Checkpoint.Root_done { root; results });
+        let done_now = 1 + Atomic.fetch_and_add logged 1 in
+        Trace.span trace Trace.Checkpoint_write ~a0:done_now
+          ~a1:(total_roots - done_now) ~start:t0)
+      writer
   in
-  let layout = layout_of cfg idx in
-  let mine_root k =
-    (match Lazy.force chaos_root_delay_s with
-    | 0.0 -> ()
-    | d -> ( try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ()));
-    let ((results, outcome) as r) =
-      match cfg.query with
-      | Query.Targeted _ | Query.Top_k _ ->
-        (* Per-root query runs: a root's local answer over-approximates its
-           contribution to the global one (for top-k, any globally winning
-           pattern is in its root's local top-k), so the checkpointed
-           per-root answers stay root-independent and the global answer is
-           recovered at assembly time. *)
-        let collector =
-          Query.collector ?max_length:cfg.max_length ~events
-            ~min_sup:cfg.min_sup cfg.query
-        in
-        let wtr = Trace.for_domain trace in
-        let strategy =
-          match layout with
-          | None -> strategy_of cfg
-          | Some sm -> Shard_merge.strategy ~trace:wtr sm (strategy_of cfg)
-        in
-        let s =
-          Engine.run ?max_length:cfg.max_length ?budget ~trace:wtr ~events
-            ~roots:[ roots.(k) ] ~plan:collector.Query.plan strategy idx
-            ~min_sup:cfg.min_sup ~emit:collector.Query.offer
-        in
-        (collector.Query.results (), s.Engine.outcome)
-      | Query.All -> (
-        match cfg.mode with
-        | All ->
-          let results, stats =
-            Gsgrow.mine ?max_length:cfg.max_length ?budget
-              ~trace:(Trace.for_domain trace) ?shards:layout ~events
-              ~roots:[ roots.(k) ] idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Gsgrow.outcome)
-        | Closed ->
-          let results, stats =
-            Clogsgrow.mine ?max_length:cfg.max_length ?budget
-              ~trace:(Trace.for_domain trace) ?shards:layout ~events
-              ~roots:[ roots.(k) ] idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Clogsgrow.outcome))
-    in
-    if outcome = Budget.Completed then log_root_done roots.(k) results;
-    r
+  let shared =
+    Query.shared ?max_length:cfg.max_length ~events ~min_sup:cfg.min_sup
+      cfg.query
   in
-  let slots, halt_reason =
-    Parallel_miner.run_pool ~trace
-      ~halt_on:(fun (_, outcome) -> Budget.is_stop outcome)
-      ~order:(Parallel_miner.largest_first_order idx roots)
-      ~domains ~num_roots:(Array.length roots) ~mine_root ()
+  let statuses, stats =
+    Parallel_miner.mine_roots
+      ~domains:(Option.value cfg.domains ~default:1)
+      ?max_length:cfg.max_length ?budget ~trace ?shards:cfg.shards
+      ?shard_dispatch:cfg.shard_dispatch ~shared ~roots:remaining ?on_root_done
+      ~strategy:(strategy_of cfg) idx ~min_sup:cfg.min_sup
   in
-  let slots = Parallel_miner.retry_failed ~trace ~mine_root slots in
-  (* Classify each freshly mined root: fully completed roots advance the
-     checkpoint frontier; partially mined and crashed roots stay on it, but
-     partial results still reach the report; quarantined roots are recorded
-     so the next resume skips them. *)
+  (* Finished roots advance the frontier; quarantined roots are recorded
+     so the next resume skips them; partial roots stay on the frontier,
+     and their patterns reach the report but never the log. *)
   let partials = Hashtbl.create 16 in
-  let quarantined_now = ref [] in
-  let outcome = ref (Option.value halt_reason ~default:Budget.Completed) in
-  if Hashtbl.length quarantined_skipped > 0 then
-    (* the output is missing the skipped roots' patterns *)
-    outcome := Budget.combine !outcome Budget.Worker_failed;
-  Array.iteri
-    (fun k status ->
-      let root = roots.(k) in
-      match status with
-      | Parallel_miner.Done (results, Budget.Completed) ->
-        Hashtbl.replace completed_results root results
-      | Parallel_miner.Done (results, stop) ->
-        Hashtbl.replace partials root results;
-        outcome := Budget.combine !outcome stop
-      | Parallel_miner.Failed _ ->
-        (* only reachable if retry_failed was skipped for this slot *)
-        outcome := Budget.combine !outcome Budget.Worker_failed
-      | Parallel_miner.Quarantined { exn; backtrace } ->
-        quarantined_now :=
-          { Checkpoint.root; reason = Printexc.to_string exn; backtrace }
-          :: !quarantined_now;
-        outcome := Budget.combine !outcome Budget.Worker_failed
-      | Parallel_miner.Skipped ->
-        (* the pool halted before this root; the halt reason (or another
-           root's stop outcome) already accounts for it *)
-        ())
-    slots;
-  let quarantined_now = List.rev !quarantined_now in
-  let outcome = !outcome in
-  (* Assemble the report in the full root order, so a resumed run completes
-     to exactly the uninterrupted run's output. *)
-  let results =
-    List.concat_map
-      (fun root ->
-        match Hashtbl.find_opt completed_results root with
-        | Some rs -> rs
-        | None -> (
-          match Hashtbl.find_opt partials root with Some rs -> rs | None -> []))
-      events
+  let quarantined_now =
+    List.concat
+      (List.mapi
+         (fun k root ->
+           match statuses.(k) with
+           | Parallel_miner.Done results ->
+             Hashtbl.replace completed_results root results;
+             []
+           | Parallel_miner.Quarantined { exn; backtrace } ->
+             [ { Checkpoint.root; reason = Printexc.to_string exn; backtrace } ]
+           | Parallel_miner.Partial results ->
+             Hashtbl.replace partials root results;
+             [])
+         remaining)
   in
-  (* Per-root top-k answers merge into the global one here; ties at the k
-     boundary resolve by [compare_by_support_desc], deterministically. *)
+  let outcome =
+    if Hashtbl.length quarantined_skipped > 0 then
+      (* the output is missing the skipped roots' patterns *)
+      Budget.combine stats.Engine.outcome Budget.Worker_failed
+    else stats.Engine.outcome
+  in
+  (* Assemble in the full root order, so a resumed run completes to
+     exactly the uninterrupted run's output; a top-k answer is re-ranked
+     over the union, ties resolved canonically. *)
   let results =
-    match cfg.query with
-    | Query.Top_k k ->
-      List.filteri
-        (fun i _ -> i < k)
-        (List.sort Mined.compare_by_support_desc results)
-    | Query.All | Query.Targeted _ -> results
+    shared.Query.finalize
+      (List.concat_map
+         (fun root ->
+           match Hashtbl.find_opt completed_results root with
+           | Some rs -> rs
+           | None -> Option.value (Hashtbl.find_opt partials root) ~default:[])
+         events)
   in
   (match writer with
   | None -> ()
@@ -516,14 +330,41 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
       quarantined_now;
     Checkpoint.Writer.append w (Checkpoint.Run_outcome outcome);
     Checkpoint.Writer.close w);
-  let quarantined =
-    Hashtbl.length quarantined_skipped + List.length quarantined_now
+  finished_report ~start results outcome
+    (Hashtbl.length quarantined_skipped + List.length quarantined_now)
+
+let mine_indexed ?trace cfg idx =
+  validate_config cfg;
+  match cfg.domains with
+  | None ->
+    Log.info (fun m ->
+        m "mining %s patterns, min_sup=%d" (describe cfg) cfg.min_sup);
+    let start = Unix.gettimeofday () in
+    let results, outcome =
+      mine_sequential ?trace cfg idx ~budget:(budget_of cfg)
+    in
+    finished_report ~start results outcome 0
+  | Some _ -> mine_partitioned ?trace cfg idx
+
+let mine ?config:cfg ?min_sup ?trace db =
+  let cfg =
+    match (cfg, min_sup) with
+    | Some c, _ -> c
+    | None, Some min_sup -> config ~min_sup ()
+    | None, None -> invalid_arg "Miner.mine: provide ~config or ~min_sup"
   in
-  let elapsed_s = Unix.gettimeofday () -. start in
-  Log.info (fun m ->
-      m "found %d pattern(s) (%a) in %.3fs" (List.length results) Budget.pp outcome
-        elapsed_s);
-  { results; truncated = Budget.is_stop outcome; outcome; elapsed_s; quarantined }
+  let idx = build_index cfg db in
+  mine_indexed ?trace cfg idx
+
+let mine_resumable ?budget ?checkpoint ?resume ?retry_quarantined ?trace cfg db
+    =
+  validate_config cfg;
+  if cfg.max_patterns <> None then
+    invalid_arg "Miner: checkpointing is not supported with max_patterns";
+  if resume = Some true && checkpoint = None then
+    invalid_arg "Miner: resume requires a checkpoint path";
+  mine_partitioned ?budget ?checkpoint ?resume ?retry_quarantined ?trace cfg
+    (build_index cfg db)
 
 let landmarks db p = Sup_comp.landmarks (Inverted_index.build db) p
 let support db p = Sup_comp.support (Inverted_index.build db) p

@@ -1,9 +1,17 @@
 (** High-level mining facade.
 
-    One-call API over {!Gsgrow} / {!Clogsgrow} / {!Gap_constrained} /
-    {!Parallel_miner}: build the inverted index, mine, and present
-    results. This is the entry point example programs and the CLI use; the
-    per-algorithm modules remain available for finer control.
+    One-call API over the {!Engine} DFS: build the inverted index, mine,
+    and present results. This is the entry point example programs and the
+    CLI use; the per-algorithm modules remain available for finer
+    control.
+
+    A run takes one of two paths. The {b sequential} path is one
+    {!Engine.run} under the query's {!Query.collector}: the reference
+    DFS, used when [domains] is unset and there is no checkpoint. The
+    {b partitioned} path is the work-stealing executor
+    ({!Parallel_miner.mine_roots}) over the frontier roots: every run
+    with [domains] and every {!mine_resumable} run (one domain when
+    [domains] is unset). Both return the same answer.
 
     Resilience: a config may carry runtime limits (wall-clock deadline,
     DFS-node budget, GC heap-words ceiling). The miners stop cooperatively
@@ -26,18 +34,20 @@ type config = {
           (default), only patterns containing a target subsequence, or the
           k best by support. [Targeted] answers keep DFS order; [Top_k]
           answers come support-descending, with equal-support ties at the
-          [k] boundary resolved deterministically but entry-point
-          specifically (first DFS arrival in {!mine_indexed}, smallest by
-          {!Mined.compare_by_support_desc} in {!mine_resumable}) *)
+          [k] boundary resolved deterministically but path-specifically
+          (first DFS arrival on the sequential path, smallest by
+          {!Mined.compare_by_support_desc} on the partitioned path) *)
   max_length : int option;  (** bound on pattern length *)
-  max_patterns : int option;  (** output budget; truncates the DFS *)
+  max_patterns : int option;
+      (** output budget: the answer becomes a prefix of the full DFS
+          order, so only the sequential path honours it *)
   max_gap : int option;
       (** gap-constrained mining ({!Gap_constrained}): sound greedy lower
           bound, mines all patterns — [mode] is ignored *)
   domains : int option;
-      (** mine in parallel with this many domains ({!Parallel_miner});
-          incompatible with [max_patterns], and with [max_gap] unless
-          [steal] is set *)
+      (** mine on the partitioned path with this many work-stealing
+          domains ({!Parallel_miner}); any [mode], [query] and [max_gap],
+          but not [max_patterns] *)
   shards : int option;
       (** run every instance growth shard-by-shard over this many balanced
           database shards and merge ({!Shard_merge}) — output identical by
@@ -47,19 +57,10 @@ type config = {
           computes them in-process; a supervisor ([Rgs_server.Supervisor])
           supplies a closure that ships slices to isolated worker
           processes, falling back in-process per shard on failure —
-          output identical either way. Requires [shards]; incompatible
-          with [steal] (the stealing executor re-splits subtrees across
-          domains, a different axis of parallelism) *)
-  steal : bool;
-      (** use the work-stealing executor ({!Parallel_miner.mine_steal}):
-          dynamic DFS-subtree balancing instead of static per-root
-          claiming, same output. Requires [domains]; supports any [query]
-          and [max_gap], but not [max_patterns] or checkpointing *)
-  paged_index : bool;  (** build the B-tree index backend instead of arrays *)
+          output identical either way. Requires [shards]; called
+          concurrently from every domain on the partitioned path *)
   index_kind : Inverted_index.kind option;
-      (** explicit index backend selection; overrides [paged_index] when
-          set. [None] keeps the default (CSR, or paged via
-          [paged_index]) *)
+      (** index backend; [None] keeps the default (CSR) *)
   deadline_s : float option;
       (** wall-clock budget in seconds; on expiry the run stops with
           [Deadline_exceeded] and partial results *)
@@ -80,7 +81,6 @@ val config :
   ?shards:int ->
   ?shard_dispatch:Shard_merge.dispatch ->
   ?steal:bool ->
-  ?paged_index:bool ->
   ?index_kind:Inverted_index.kind ->
   ?deadline_s:float ->
   ?max_nodes:int ->
@@ -88,13 +88,14 @@ val config :
   min_sup:int ->
   unit ->
   config
-(** Defaults: [mode = Closed], [query = All], array index, sequential,
-    unsharded, no stealing, no bounds.
-    @raise Invalid_argument when [min_sup < 1], a limit is negative, the
-    query is invalid ({!Query.validate}), a top-k query is combined with
-    [max_patterns], [shards < 1], [shard_dispatch] is given without
-    [shards] or with [steal], or [steal] is set without [domains] or
-    with [max_patterns]. *)
+(** Defaults: [mode = Closed], [query = All], CSR index, sequential,
+    unsharded, no bounds. [steal] is accepted and ignored: work stealing
+    is the only parallel executor, selected by [domains].
+    @raise Invalid_argument when [min_sup < 1], [max_gap < 0],
+    [domains < 1], [shards < 1], a limit is out of range, the query is
+    invalid ({!Query.validate}), [max_patterns] is combined with a top-k
+    query or with [domains], or [shard_dispatch] is given without
+    [shards]. *)
 
 type report = {
   results : Mined.t list;  (** in DFS order *)
@@ -103,23 +104,26 @@ type report = {
   elapsed_s : float;
   quarantined : int;
       (** poison roots excluded from [results]: quarantined this run after
-          crashing twice, or skipped on resume because a prior run
-          quarantined them. Always [0] outside {!mine_resumable}. *)
+          crashing twice on the partitioned path, or skipped on resume
+          because a prior run quarantined them. Always [0] on the
+          sequential path, where a crash propagates to the caller. *)
 }
 
 val mine : ?config:config -> ?min_sup:int -> ?trace:Trace.t -> Seqdb.t -> report
 (** Mines [db]. Pass either a full [config] or just [min_sup] (with the
     defaults of {!config}). A live [trace] (default {!Trace.null}) records
     the run's DFS spans and instants — see {!Trace}.
+    With [domains] set the run takes the partitioned path: a crashing
+    root is retried once and then quarantined ([Worker_failed] outcome,
+    [report.quarantined]), and a budget stop keeps only the roots that
+    finished. Without [domains] a crash propagates, and a budget stop
+    keeps every pattern emitted before it.
     @raise Invalid_argument when neither [config] nor [min_sup] is given,
-    when [min_sup < 1], or when [domains] is combined with [max_patterns],
-    [max_gap] or a non-[All] query (queried parallel mining goes through
-    {!mine_resumable}, whose root partitioning composes with query
-    plans). *)
+    or when [config] fails the checks of {!config}. *)
 
 val mine_indexed : ?trace:Trace.t -> config -> Inverted_index.t -> report
 (** As {!mine} on a prebuilt index (amortises index construction across
-    parameter sweeps; [config.paged_index] is ignored). *)
+    parameter sweeps; [config.index_kind] is ignored). *)
 
 val mine_resumable :
   ?budget:Budget.t ->
@@ -130,16 +134,18 @@ val mine_resumable :
   config ->
   Seqdb.t ->
   report
-(** Root-partitioned mining with durable checkpoint/resume. Roots
-    (frequent size-1 patterns) are mined independently — sequentially, or
-    with [config.domains] pool workers; a crashing root is retried once
+(** Partitioned mining with durable checkpoint/resume. Roots (frequent
+    size-1 patterns) are mined by the work-stealing executor with
+    [config.domains] workers (one when unset); a crashing root is retried once
     (with backoff) and, if it crashes again, {e quarantined}: its patterns
     are missing from [results] ([Worker_failed] outcome,
     [report.quarantined] counts it) and the checkpoint records it so a
     resumed run skips it instead of re-crashing. Pass
     [retry_quarantined:true] to put previously quarantined roots back on
     the frontier (e.g. after fixing the cause) — a successful re-mine
-    appends a superseding record.
+    appends a superseding record. When a budget stops the run, the
+    patterns already mined under unfinished roots are in [results] too,
+    but only finished roots are logged.
 
     With [checkpoint:path], the log at [path] gains one record {e per
     completed root, as it completes} ({!Checkpoint.Writer}) — a run killed
@@ -148,9 +154,11 @@ val mine_resumable :
     matching checkpoint is loaded first (salvaging a torn tail) and only
     the remaining roots are mined, so the finished report equals an
     uninterrupted run's. A checkpoint written for a different database,
-    [min_sup], [mode], [max_length] or [query] is rejected
-    ({!Checkpoint.Corrupt}); checkpoints that predate queries resume
-    cleanly under [query = All], whose fingerprint is unchanged.
+    [min_sup], [mode], [max_length], [query] or [max_gap] is rejected
+    ({!Checkpoint.Corrupt}); checkpoints that predate queries or gap
+    mining resume cleanly under [query = All] and no [max_gap], whose
+    fingerprint is unchanged. A top-k answer is re-ranked over the
+    union of the resumed and the fresh roots.
     Runtime limits may differ between the original and the resumed run.
     Checkpoint appends are recorded into [trace] as [Checkpoint_write]
     spans ([a0] = completed roots, [a1] = remaining); I/O failures degrade
@@ -166,9 +174,9 @@ val mine_resumable :
     owns the limits and may {!Budget.cancel} from another domain — this is
     how the daemon ({!Rgs_server}) cancels a job whose client vanished.
 
-    @raise Invalid_argument with [max_gap] or [max_patterns] (those paths
-    are not root-partitioned), or when [resume] is set without
-    [checkpoint]. *)
+    @raise Invalid_argument with [max_patterns] (it needs the sequential
+    path), when [resume] is set without [checkpoint], or when [config]
+    fails the checks of {!config}. *)
 
 val landmarks : Seqdb.t -> Pattern.t -> Instance.full list
 (** Full-landmark leftmost support set of a pattern, for displaying where

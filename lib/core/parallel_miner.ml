@@ -3,166 +3,17 @@ open Rgs_sequence
 let default_domains () = max 1 (min (Domain.recommended_domain_count ()) 8)
 let auto_shards () = max 1 (Domain.recommended_domain_count ())
 
-type 'a root_status =
-  | Done of 'a
-  | Failed of exn
-  | Skipped
+type root_status =
+  | Done of Mined.t list
+  | Partial of Mined.t list
   | Quarantined of { exn : exn; backtrace : string }
 
-(* Claim roots from an atomic counter until exhausted; store each root's
-   status into its slot. [mine_root] must be thread-compatible: it only
-   reads the shared index and writes domain-local state.
-
-   Crash isolation: an exception from [mine_root] (or from the fault hook)
-   is captured as [Failed] in that root's slot — it never escapes a worker,
-   so [Domain.join] cannot re-raise and the main domain always joins every
-   spawned domain, even when its own worker fails. When a completed root
-   satisfies [halt_on] (e.g. a shared budget reported a stop) the pool
-   stops claiming further roots; unclaimed slots stay [Skipped].
-
-   Scheduling: [order], when given, maps claim slots to root indices, so
-   workers pull roots in that order while everything keyed by root — the
-   slot array, fault sites, checkpoints, the collected output — is
-   untouched by the permutation. The pool's merge is claim-order
-   independent, so any [order] yields the identical result; it only moves
-   wall-clock around (see [largest_first_order]).
-
-   Observability: each worker samples [Metrics.peak_live_words] for its own
-   domain as it exits (OCaml 5 keeps per-domain minor heaps, so the main
-   domain's view alone undercounts a parallel run) and, when [trace] is
-   live, records its lifecycle as a [Worker] span in its per-domain child
-   buffer ([Trace.for_domain] — no cross-domain contention; the buffers are
-   read merged after the joins). *)
-let run_pool ?(trace = Trace.null) ?(halt_on = fun _ -> false) ?order ~domains
-    ~num_roots ~mine_root () =
-  (match order with
-  | Some o when Array.length o <> num_roots ->
-    invalid_arg "Parallel_miner.run_pool: order length <> num_roots"
-  | _ -> ());
-  let next = Atomic.make 0 in
-  let halted = Atomic.make false in
-  let halt_reason = Atomic.make None in
-  let slots = Array.make num_roots Skipped in
-  let worker slot () =
-    Metrics.hit Metrics.pool_workers;
-    let wtr = Trace.for_domain trace in
-    let t0 = Trace.now wtr in
-    let claimed = ref 0 in
-    let rec loop () =
-      if not (Atomic.get halted) then begin
-        let k = Atomic.fetch_and_add next 1 in
-        if k < num_roots then begin
-          let k = match order with None -> k | Some o -> o.(k) in
-          incr claimed;
-          (match
-             Budget.Fault.fire (Budget.Fault.Worker k);
-             mine_root k
-           with
-          | r ->
-            slots.(k) <- Done r;
-            if halt_on r then Atomic.set halted true
-          | exception Budget.Stop reason ->
-            (* a shared budget tripped outside the miner's own handler; the
-               root is not complete — leave it [Skipped] so a resume can
-               re-claim it, but remember why the pool halted *)
-            Metrics.hit Metrics.budget_stops;
-            Trace.instant wtr Trace.Budget_stop ~a0:(Budget.severity reason)
-              ~a1:0;
-            Atomic.set halt_reason (Some reason);
-            Atomic.set halted true
-          | exception e -> slots.(k) <- Failed e);
-          loop ()
-        end
-      end
-    in
-    (try loop () with _ -> ());
-    ignore (Metrics.sample_live_words ());
-    Trace.span wtr Trace.Worker ~a0:slot ~a1:!claimed ~start:t0
-  in
-  let spawned = List.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun d -> try Domain.join d with _ -> ()) spawned)
-    (worker 0);
-  (slots, Atomic.get halt_reason)
-
-(* One sequential retry for roots that crashed in the pool, after a short
-   backoff (transient failures — an injected once-armed fault, a blip of
-   memory pressure — recover); a root that fails its retry too is poison
-   and gets quarantined: the exception and backtrace are preserved so a
-   checkpoint can record it and a resumed run can skip it instead of
-   re-crashing forever. *)
-let retry_failed ?(trace = Trace.null) ?(backoff_s = 0.01) ~mine_root slots =
-  Array.iteri
-    (fun k status ->
-      match status with
-      | Failed _ -> (
-        Metrics.hit Metrics.root_retries;
-        Trace.instant trace Trace.Root_retry ~a0:k ~a1:0;
-        if backoff_s > 0.0 then Unix.sleepf backoff_s;
-        match
-          Budget.Fault.fire (Budget.Fault.Worker k);
-          mine_root k
-        with
-        | r -> slots.(k) <- Done r
-        | exception e ->
-          let backtrace = Printexc.get_backtrace () in
-          Metrics.hit Metrics.quarantined_roots;
-          Trace.instant trace Trace.Quarantine ~a0:k ~a1:0;
-          slots.(k) <- Quarantined { exn = e; backtrace })
-      | Done _ | Skipped | Quarantined _ -> ())
-    slots;
-  slots
-
-let validate ?(domains = default_domains ()) ~min_sup () =
-  if min_sup < 1 then invalid_arg "Parallel_miner: min_sup must be >= 1";
-  if domains < 1 then invalid_arg "Parallel_miner: domains must be >= 1";
-  domains
-
-(* Merge per-root statuses: concatenate surviving results in root order
-   (deterministic), fold the stats, and derive the run outcome — the most
-   severe of the per-root outcomes, [Worker_failed] dominating when a root
-   crashed twice, and [Skipped] slots inheriting the stop reason that
-   halted the pool. *)
-let collect ?halt_reason ~stats_of ~outcome_of ~with_outcome ~zero slots =
-  let stop_reason =
-    Array.fold_left
-      (fun acc status ->
-        match status with
-        | Done r -> Budget.combine acc (outcome_of (stats_of r))
-        | Failed _ | Quarantined _ -> Budget.combine acc Budget.Worker_failed
-        | Skipped -> acc)
-      (Option.value halt_reason ~default:Budget.Completed)
-      slots
-  in
-  let outcome =
-    if
-      Array.exists (function Skipped -> true | _ -> false) slots
-      && not (Budget.is_stop stop_reason)
-    then (* halted without a recorded reason: treat as cancelled *)
-      Budget.Cancelled
-    else stop_reason
-  in
-  let results =
-    List.concat_map
-      (function Done (rs, _) -> rs | Failed _ | Skipped | Quarantined _ -> [])
-      (Array.to_list slots)
-  in
-  let stats =
-    Array.fold_left
-      (fun acc -> function Done r -> zero acc (stats_of r) | _ -> acc)
-      (with_outcome outcome) slots
-  in
-  (results, stats)
-
-let halt_on_gsgrow (_, s) = Budget.is_stop s.Gsgrow.outcome
-let halt_on_clogsgrow (_, s) = Budget.is_stop s.Clogsgrow.outcome
-
 (* Largest DFS subtrees first. A root's size-1 support (its event's total
-   occurrence count) is a cheap proxy for its subtree's mining cost; with
-   index-order claiming a heavy root claimed late leaves one domain mining
-   alone while the rest idle — the classic LPT scheduling fix. Ties break
-   toward the lower index so the permutation is deterministic. *)
+   occurrence count) is a cheap proxy for its subtree's mining cost;
+   claiming heavy roots first keeps one late heavy root from leaving a
+   single domain mining alone at the tail, and lets a top-k floor rise
+   early. Ties break toward the lower index so the permutation is
+   deterministic. *)
 let largest_first_order idx roots =
   let n = Array.length roots in
   let weight = Array.map (fun e -> Inverted_index.occurrence_count idx e) roots in
@@ -174,12 +25,19 @@ let largest_first_order idx roots =
     order;
   order
 
-let resolve_order schedule idx roots =
-  match schedule with
-  | `Index -> None
-  | `Largest_first -> Some (largest_first_order idx roots)
+(* Chaos/testing knob: slow every root down so an external harness has a
+   deterministic window to deliver signals or kill -9 mid-run. Unset (the
+   default) costs one load per root. *)
+let chaos_root_delay_s =
+  lazy
+    (match Sys.getenv_opt "RGS_CHAOS_ROOT_DELAY_MS" with
+    | None -> 0.0
+    | Some v -> ( try float_of_string v /. 1000.0 with Failure _ -> 0.0))
 
-(* --- work-stealing executor ---------------------------------------- *)
+let chaos_root_delay () =
+  match Lazy.force chaos_root_delay_s with
+  | 0.0 -> ()
+  | d -> ( try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
 (* One pending unit of DFS work. [t_path] is the list of child ranks from
    the root ([] = the root node itself): task boundaries follow the DFS
@@ -187,13 +45,13 @@ let resolve_order schedule idx roots =
    prefix first — exactly OCaml's structural compare on int lists) and
    concatenating reproduces the sequential preorder emission byte for
    byte, whatever domain mined which piece. *)
-type steal_task = {
+type task = {
   t_root : int;  (* slot in the roots array *)
   t_path : int list;
   t_node : [ `Root of Event.t | `Frame of Engine.frame ];
 }
 
-type steal_worker = {
+type worker = {
   w_id : int;
   w_ctx : Engine.ctx;
   w_trace : Trace.t;
@@ -201,49 +59,79 @@ type steal_worker = {
   mutable w_attempts : int;
   mutable w_successes : int;
   mutable w_depth : int;
+  mutable w_idle : int;  (* failed steal rounds in a row *)
 }
 
 let rec atomic_cons cell x =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (x :: old)) then atomic_cons cell x
 
-(* Shard-parallel mining with dynamic load balancing, replacing the
-   root-granular static claiming of [run_pool]. Every worker owns a
-   {!Deque}: it claims fresh roots from the shared counter while any
-   remain (independent work first, in LPT order), splits shallow nodes
-   (pattern length <= [split_len]) into one task per admitted child via
-   [Engine.expand] and pushes them bottom-LIFO (so its own pops follow
-   DFS order), and mines deeper subtrees whole with [Engine.run_frame].
-   A worker that is out of roots and out of local work steals the oldest
-   task from a sibling's deque — the largest deferred subtree — so one
-   giant root no longer serializes the tail of the run.
+let sum_stats ~outcome stats =
+  List.fold_left
+    (fun acc (s : Engine.stats) ->
+      {
+        acc with
+        Engine.emitted = acc.Engine.emitted + s.Engine.emitted;
+        dfs_nodes = acc.Engine.dfs_nodes + s.Engine.dfs_nodes;
+        insgrow_calls = acc.Engine.insgrow_calls + s.Engine.insgrow_calls;
+        lb_pruned = acc.Engine.lb_pruned + s.Engine.lb_pruned;
+        non_closed_dropped =
+          acc.Engine.non_closed_dropped + s.Engine.non_closed_dropped;
+        query_cuts = acc.Engine.query_cuts + s.Engine.query_cuts;
+        floor_prunes = acc.Engine.floor_prunes + s.Engine.floor_prunes;
+      })
+    {
+      Engine.emitted = 0;
+      dfs_nodes = 0;
+      insgrow_calls = 0;
+      lb_pruned = 0;
+      non_closed_dropped = 0;
+      query_cuts = 0;
+      floor_prunes = 0;
+      truncated = Budget.is_stop outcome;
+      outcome;
+    }
+    stats
 
-   Determinism: results are keyed by (root, path) and stitched in root
-   order / path order, so the output is identical to the sequential DFS
-   for every schedule; the [@steal] differential suite pins this across
-   backends, shard counts and seeds. Queries run through {!Query.shared}
-   (thread-safe plans; the top-k floor is a shared atomic, so a stolen
-   subtree inherits the current floor).
+(* The executor. Every worker owns a {!Deque}: it claims fresh roots from
+   the shared counter while any remain (independent work first, in LPT
+   order), splits shallow nodes (pattern length <= [split_len]) into one
+   task per admitted child via [Engine.expand] and pushes them
+   bottom-LIFO (so its own pops follow DFS order), and mines deeper
+   subtrees whole with [Engine.run_frame]. A worker that is out of roots
+   and out of local work steals the oldest task from a sibling's deque —
+   the largest deferred subtree — so one giant root does not serialize
+   the tail of the run. With one domain there is no thief, so nothing is
+   split: each root is mined whole, exactly like the sequential DFS.
 
-   Accounting per root mirrors [run_pool]: [pending] counts that root's
-   outstanding tasks and the worker that drops it to zero finalizes the
-   slot — [Done] with the stitched results, [Failed] when any task
-   raised ([failed] keeps the first exception; remaining tasks of that
-   root short-circuit), or left [Skipped] when a budget stop aborted a
-   task before the subtree completed ([aborted]). Failed roots then take
-   the usual [retry_failed] -> quarantine path, re-mined sequentially. *)
-let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
-    ?(query = Query.All) ?(split_len = 2) ~strategy idx ~min_sup =
-  let domains = validate ?domains ~min_sup () in
-  let layout =
-    Option.map
-      (fun n -> Shard_merge.make (Inverted_index.db idx) ~shards:n)
-      shards
-  in
+   Determinism: results are keyed by (root, path) and stitched in path
+   order, so each root's results are identical to the sequential DFS for
+   every schedule; the [@steal] differential suite pins this across
+   backends, shard counts and seeds.
+
+   Accounting per root: [pending] counts that root's outstanding tasks
+   and the worker that drops it to zero finishes the root — [Done] with
+   the stitched results (after [on_root_done] accepted them), or a
+   failure when any task raised ([failed] keeps the first exception;
+   remaining tasks of that root short-circuit). A budget stop aborts the
+   running tasks ([aborted]); after the joins every unfinished root is
+   [Partial] with whatever its tasks mined, stitched the same way.
+   Failed roots are retried once, sequentially, after the joins, and
+   quarantined when the retry fails too. *)
+let mine_roots ?(domains = default_domains ()) ?max_length ?budget
+    ?(trace = Trace.null) ?shards ?shard_dispatch ?shared ?(split_len = 2)
+    ?roots ?(on_root_done = fun _ _ -> ()) ~strategy idx ~min_sup =
+  if min_sup < 1 then invalid_arg "Parallel_miner: min_sup must be >= 1";
+  if domains < 1 then invalid_arg "Parallel_miner: domains must be >= 1";
   let events = Inverted_index.frequent_events idx ~min_sup in
-  let roots = Array.of_list events in
+  let shared =
+    match shared with
+    | Some s -> s
+    | None -> Query.shared ?max_length ~events ~min_sup Query.All
+  in
+  let roots = Array.of_list (Option.value roots ~default:events) in
   let num_roots = Array.length roots in
-  let shared = Query.shared ?max_length ~events ~min_sup query in
+  let split_len = if domains = 1 then 0 else split_len in
   let order = largest_first_order idx roots in
   let deques = Array.init domains (fun _ -> Deque.create ()) in
   let states = Array.make domains None in
@@ -252,22 +140,40 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
   let halted = Atomic.make false in
   let halt_reason = Atomic.make None in
   let pending = Array.init num_roots (fun _ -> Atomic.make 0) in
+  let started = Array.make num_roots 0 in
   let parts = Array.init num_roots (fun _ -> Atomic.make []) in
   let failed = Array.init num_roots (fun _ -> Atomic.make None) in
   let aborted = Array.init num_roots (fun _ -> Atomic.make false) in
-  let slots = Array.make num_roots Skipped in
-  let finish_root r =
-    match Atomic.get failed.(r) with
-    | Some e -> slots.(r) <- Failed e
-    | None ->
-      if not (Atomic.get aborted.(r)) then begin
-        let ps =
-          List.sort
-            (fun (p, _) (q, _) -> compare (p : int list) q)
-            (Atomic.get parts.(r))
-        in
-        slots.(r) <- Done (List.concat_map snd ps)
-      end
+  let slots = Array.make num_roots (Partial []) in
+  let strategy_for wtr =
+    Shard_merge.wrap ?dispatch:shard_dispatch ?shards ~trace:wtr
+      (Inverted_index.db idx) strategy
+  in
+  let emit_into results m =
+    shared.Query.shared_offer m;
+    results := m :: !results
+  in
+  (* a root's task results in path order: its DFS preorder, with gaps
+     where tasks were aborted or never ran *)
+  let stitch r =
+    List.concat_map snd
+      (List.sort
+         (fun (p, _) (q, _) -> compare (p : int list) q)
+         (Atomic.get parts.(r)))
+  in
+  (* a finished root is [Done] only once [on_root_done] (the checkpoint
+     append) has accepted it; a raising hook fails the root like a
+     crashed task *)
+  let complete wtr r ~start results =
+    match on_root_done roots.(r) results with
+    | () ->
+      slots.(r) <- Done results;
+      Trace.span wtr Trace.Root ~a0:roots.(r) ~a1:(List.length results) ~start
+    | exception e -> ignore (Atomic.compare_and_set failed.(r) None (Some e))
+  in
+  let finish_root st r =
+    if Atomic.get failed.(r) = None && not (Atomic.get aborted.(r)) then
+      complete st.w_trace r ~start:started.(r) (stitch r)
   in
   let exec ?(stolen = false) st task =
     let r = task.t_root in
@@ -275,14 +181,13 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
      else if Atomic.get halted then Atomic.set aborted.(r) true
      else begin
        let results = ref [] in
-       let emit m =
-         shared.Query.shared_offer m;
-         results := m :: !results
-       in
+       let emit = emit_into results in
        try
          if stolen then Budget.Fault.fire (Budget.Fault.Steal st.w_id);
          (match task.t_node with
-         | `Root _ -> Budget.Fault.fire (Budget.Fault.Worker r)
+         | `Root _ ->
+           chaos_root_delay ();
+           Budget.Fault.fire (Budget.Fault.Worker r)
          | `Frame _ -> ());
          (match
             match task.t_node with
@@ -318,15 +223,17 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
          if Atomic.compare_and_set halt_reason None (Some reason) then
            Engine.note_stop st.w_ctx reason;
          Atomic.set halted true;
+         atomic_cons parts.(r) (task.t_path, List.rev !results);
          Atomic.set aborted.(r) true
        | Engine.Budget_exhausted ->
          (* only reachable once [halted] is set (the ctx's should_stop):
             some other worker already recorded the reason *)
          Atomic.set halted true;
+         atomic_cons parts.(r) (task.t_path, List.rev !results);
          Atomic.set aborted.(r) true
        | e -> ignore (Atomic.compare_and_set failed.(r) None (Some e))
      end);
-    if Atomic.fetch_and_add pending.(r) (-1) = 1 then finish_root r;
+    if Atomic.fetch_and_add pending.(r) (-1) = 1 then finish_root st r;
     ignore (Atomic.fetch_and_add live (-1))
   in
   let try_steal st =
@@ -344,28 +251,37 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
     done;
     !stolen
   in
+  (* An idle thief backs off: a few spins first (a split usually lands
+     within microseconds), then sleeps doubling from 10 us to 1 ms. With
+     more domains than cores, spinning thieves would take the CPU from the
+     workers holding the work; a sleeping domain is also outside the
+     runtime, so it does not slow every stop-the-world minor GC. *)
+  let back_off st =
+    st.w_idle <- st.w_idle + 1;
+    if st.w_idle <= 32 then Domain.cpu_relax ()
+    else
+      let d = 1e-5 *. Float.of_int (1 lsl min 7 (st.w_idle - 33)) in
+      try Unix.sleepf (Float.min d 1e-3)
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
   let worker slot () =
     Metrics.hit Metrics.pool_workers;
     let wtr = Trace.for_domain trace in
     let t0 = Trace.now wtr in
-    let wstrategy =
-      match layout with
-      | None -> strategy
-      | Some sm -> Shard_merge.strategy ~trace:wtr sm strategy
-    in
     let st =
       {
         w_id = slot;
         w_ctx =
           Engine.make_ctx ?max_length ~events
             ~should_stop:(fun () -> Atomic.get halted)
-            ?budget ~trace:wtr ~plan:shared.Query.shared_plan wstrategy idx
-            ~min_sup;
+            ?budget ~trace:wtr ~plan:shared.Query.shared_plan
+            (strategy_for wtr) idx ~min_sup;
         w_trace = wtr;
         w_claimed = 0;
         w_attempts = 0;
         w_successes = 0;
         w_depth = 0;
+        w_idle = 0;
       }
     in
     states.(slot) <- Some st;
@@ -380,6 +296,7 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
           if k < num_roots then begin
             let k = order.(k) in
             st.w_claimed <- st.w_claimed + 1;
+            started.(k) <- Trace.now wtr;
             Atomic.set pending.(k) 1;
             ignore (Atomic.fetch_and_add live 1);
             exec st { t_root = k; t_path = []; t_node = `Root roots.(k) };
@@ -387,8 +304,10 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
           end
           else if Atomic.get live > 0 then begin
             (match try_steal st with
-            | Some t -> exec ~stolen:true st t
-            | None -> Domain.cpu_relax ());
+            | Some t ->
+              st.w_idle <- 0;
+              exec ~stolen:true st t
+            | None -> back_off st);
             loop ()
           end
     in
@@ -413,201 +332,93 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
       |> List.map (fun st -> Engine.finish st.w_ctx ~outcome:Budget.Completed)
       )
   in
-  let retry_root k =
-    let wtr = Trace.for_domain trace in
-    let wstrategy =
-      match layout with
-      | None -> strategy
-      | Some sm -> Shard_merge.strategy ~trace:wtr sm strategy
+  (* after a stop, every unfinished root keeps what its tasks mined *)
+  Array.iteri
+    (fun r status ->
+      match status with
+      | Done _ | Quarantined _ -> ()
+      | Partial _ ->
+        if Atomic.get failed.(r) = None then slots.(r) <- Partial (stitch r))
+    slots;
+  (* One sequential retry for roots that crashed, after a short backoff
+     (transient failures — an injected once-armed fault, a blip of memory
+     pressure — recover). The {!Budget.Fault.Worker} site fires again, so
+     a persistent fault fails both attempts and the root is quarantined
+     with its exception and backtrace, for a checkpoint to record. A
+     budget stop during the retry leaves the root [Partial].
+
+     The retry does not offer to [shared]: the failed attempt may already
+     have offered some of the same patterns, and a top-k heap holding a
+     pattern twice would lift the floor above the true k-th support.
+     Leaving them out only keeps the floor lower, which is sound. *)
+  let retry r =
+    Metrics.hit Metrics.root_retries;
+    Trace.instant trace Trace.Root_retry ~a0:r ~a1:0;
+    Unix.sleepf 0.01;
+    let quarantine exn backtrace =
+      Metrics.hit Metrics.quarantined_roots;
+      Trace.instant trace Trace.Quarantine ~a0:r ~a1:0;
+      slots.(r) <- Quarantined { exn; backtrace }
     in
+    let wtr = Trace.for_domain trace in
     let ctx =
       Engine.make_ctx ?max_length ~events ?budget ~trace:wtr
-        ~plan:shared.Query.shared_plan wstrategy idx ~min_sup
+        ~plan:shared.Query.shared_plan (strategy_for wtr) idx ~min_sup
     in
     let results = ref [] in
-    let emit m =
-      shared.Query.shared_offer m;
-      results := m :: !results
-    in
-    (match Engine.root_frame ctx roots.(k) with
-    | None -> ()
-    | Some f -> Engine.run_frame ctx ~emit f);
-    all_stats := Engine.finish ctx ~outcome:Budget.Completed :: !all_stats;
-    List.rev !results
+    let start = Trace.now wtr in
+    Atomic.set failed.(r) None;
+    (match
+       Budget.Fault.fire (Budget.Fault.Worker r);
+       Option.iter
+         (Engine.run_frame ctx ~emit:(fun m -> results := m :: !results))
+         (Engine.root_frame ctx roots.(r))
+     with
+    | () -> (
+      complete wtr r ~start (List.rev !results);
+      match Atomic.get failed.(r) with
+      | Some e -> quarantine e ""
+      | None -> ())
+    | exception Budget.Stop reason ->
+      if Atomic.compare_and_set halt_reason None (Some reason) then
+        Engine.note_stop ctx reason;
+      slots.(r) <- Partial (List.rev !results)
+    | exception e -> quarantine e (Printexc.get_backtrace ()));
+    all_stats := Engine.finish ctx ~outcome:Budget.Completed :: !all_stats
   in
-  let slots = retry_failed ~trace ~mine_root:retry_root slots in
-  let halt_reason = Atomic.get halt_reason in
-  let stop_reason =
-    Array.fold_left
-      (fun acc status ->
-        match status with
-        | Failed _ | Quarantined _ -> Budget.combine acc Budget.Worker_failed
-        | Done _ | Skipped -> acc)
-      (Option.value halt_reason ~default:Budget.Completed)
-      slots
+  Array.iteri (fun r f -> if Atomic.get f <> None then retry r) failed;
+  let stop = Option.value (Atomic.get halt_reason) ~default:Budget.Completed in
+  let stop =
+    if Array.exists (function Quarantined _ -> true | _ -> false) slots then
+      Budget.combine stop Budget.Worker_failed
+    else stop
   in
   let outcome =
     if
-      Array.exists (function Skipped -> true | _ -> false) slots
-      && not (Budget.is_stop stop_reason)
-    then Budget.Cancelled
-    else stop_reason
+      Array.exists (function Partial _ -> true | _ -> false) slots
+      && not (Budget.is_stop stop)
+    then (* halted without a recorded reason: treat as cancelled *)
+      Budget.Cancelled
+    else stop
   in
-  let quarantined =
-    Array.fold_left
-      (fun n -> function Quarantined _ -> n + 1 | _ -> n)
-      0 slots
+  (slots, sum_stats ~outcome !all_stats)
+
+let quarantined statuses =
+  Array.fold_left
+    (fun n -> function Quarantined _ -> n + 1 | Done _ | Partial _ -> n)
+    0 statuses
+
+let mine_steal ?domains ?max_length ?budget ?trace ?shards ?(query = Query.All)
+    ?split_len ~strategy idx ~min_sup =
+  let events = Inverted_index.frequent_events idx ~min_sup in
+  let shared = Query.shared ?max_length ~events ~min_sup query in
+  let statuses, stats =
+    mine_roots ?domains ?max_length ?budget ?trace ?shards ~shared ?split_len
+      ~strategy idx ~min_sup
   in
   let results =
     List.concat_map
-      (function Done rs -> rs | Failed _ | Skipped | Quarantined _ -> [])
-      (Array.to_list slots)
+      (function Done rs | Partial rs -> rs | Quarantined _ -> [])
+      (Array.to_list statuses)
   in
-  let results = shared.Query.finalize results in
-  let stats =
-    List.fold_left
-      (fun acc (s : Engine.stats) ->
-        {
-          acc with
-          Engine.emitted = acc.Engine.emitted + s.Engine.emitted;
-          dfs_nodes = acc.Engine.dfs_nodes + s.Engine.dfs_nodes;
-          insgrow_calls = acc.Engine.insgrow_calls + s.Engine.insgrow_calls;
-          lb_pruned = acc.Engine.lb_pruned + s.Engine.lb_pruned;
-          non_closed_dropped =
-            acc.Engine.non_closed_dropped + s.Engine.non_closed_dropped;
-          query_cuts = acc.Engine.query_cuts + s.Engine.query_cuts;
-          floor_prunes = acc.Engine.floor_prunes + s.Engine.floor_prunes;
-        })
-      {
-        Engine.emitted = 0;
-        dfs_nodes = 0;
-        insgrow_calls = 0;
-        lb_pruned = 0;
-        non_closed_dropped = 0;
-        query_cuts = 0;
-        floor_prunes = 0;
-        truncated = Budget.is_stop outcome;
-        outcome;
-      }
-      !all_stats
-  in
-  (results, stats, quarantined)
-
-let shard_layout ?dispatch idx shards =
-  Option.map
-    (fun n -> Shard_merge.make ?dispatch (Inverted_index.db idx) ~shards:n)
-    shards
-
-let mine_all ?domains ?max_length ?budget ?(trace = Trace.null)
-    ?(schedule = `Largest_first) ?(steal = false) ?shards ?shard_dispatch idx
-    ~min_sup =
-  if steal then begin
-    let results, s, _quarantined =
-      mine_steal ?domains ?max_length ?budget ~trace ?shards
-        ~strategy:Gsgrow.strategy idx ~min_sup
-    in
-    ( results,
-      {
-        Gsgrow.patterns = s.Engine.emitted;
-        insgrow_calls = s.Engine.insgrow_calls;
-        truncated = s.Engine.truncated;
-        outcome = s.Engine.outcome;
-      } )
-  end
-  else begin
-  let domains = validate ?domains ~min_sup () in
-  let sm = shard_layout ?dispatch:shard_dispatch idx shards in
-  let events = Inverted_index.frequent_events idx ~min_sup in
-  let roots = Array.of_list events in
-  let mine_root k =
-    Gsgrow.mine ?max_length ?budget ~trace:(Trace.for_domain trace) ?shards:sm
-      ~events ~roots:[ roots.(k) ] idx ~min_sup
-  in
-  let slots, halt_reason =
-    run_pool ~trace ~halt_on:halt_on_gsgrow
-      ?order:(resolve_order schedule idx roots) ~domains
-      ~num_roots:(Array.length roots) ~mine_root ()
-  in
-  let slots = retry_failed ~trace ~mine_root slots in
-  collect slots ?halt_reason
-    ~stats_of:(fun (_, s) -> s)
-    ~outcome_of:(fun s -> s.Gsgrow.outcome)
-    ~with_outcome:(fun outcome ->
-      {
-        Gsgrow.patterns = 0;
-        insgrow_calls = 0;
-        truncated = Budget.is_stop outcome;
-        outcome;
-      })
-    ~zero:(fun acc s ->
-      {
-        acc with
-        Gsgrow.patterns = acc.Gsgrow.patterns + s.Gsgrow.patterns;
-        insgrow_calls = acc.Gsgrow.insgrow_calls + s.Gsgrow.insgrow_calls;
-      })
-  end
-
-let mine_closed ?domains ?max_length ?use_lb_check ?budget ?(trace = Trace.null)
-    ?(schedule = `Largest_first) ?(steal = false) ?shards ?shard_dispatch idx
-    ~min_sup =
-  if steal then begin
-    let strategy =
-      Clogsgrow.strategy
-        ~use_lb_check:(Option.value use_lb_check ~default:true)
-        ~use_c_check:true
-    in
-    let results, s, _quarantined =
-      mine_steal ?domains ?max_length ?budget ~trace ?shards ~strategy idx
-        ~min_sup
-    in
-    ( results,
-      {
-        Clogsgrow.patterns = s.Engine.emitted;
-        dfs_nodes = s.Engine.dfs_nodes;
-        insgrow_calls = s.Engine.insgrow_calls;
-        lb_pruned = s.Engine.lb_pruned;
-        non_closed_dropped = s.Engine.non_closed_dropped;
-        truncated = s.Engine.truncated;
-        outcome = s.Engine.outcome;
-      } )
-  end
-  else begin
-  let domains = validate ?domains ~min_sup () in
-  let sm = shard_layout ?dispatch:shard_dispatch idx shards in
-  let events = Inverted_index.frequent_events idx ~min_sup in
-  let roots = Array.of_list events in
-  let mine_root k =
-    Clogsgrow.mine ?max_length ?use_lb_check ?budget
-      ~trace:(Trace.for_domain trace) ?shards:sm ~events ~roots:[ roots.(k) ]
-      idx ~min_sup
-  in
-  let slots, halt_reason =
-    run_pool ~trace ~halt_on:halt_on_clogsgrow
-      ?order:(resolve_order schedule idx roots) ~domains
-      ~num_roots:(Array.length roots) ~mine_root ()
-  in
-  let slots = retry_failed ~trace ~mine_root slots in
-  collect slots ?halt_reason
-    ~stats_of:(fun (_, s) -> s)
-    ~outcome_of:(fun s -> s.Clogsgrow.outcome)
-    ~with_outcome:(fun outcome ->
-      {
-        Clogsgrow.patterns = 0;
-        dfs_nodes = 0;
-        insgrow_calls = 0;
-        lb_pruned = 0;
-        non_closed_dropped = 0;
-        truncated = Budget.is_stop outcome;
-        outcome;
-      })
-    ~zero:(fun acc s ->
-      {
-        acc with
-        Clogsgrow.patterns = acc.Clogsgrow.patterns + s.Clogsgrow.patterns;
-        dfs_nodes = acc.Clogsgrow.dfs_nodes + s.Clogsgrow.dfs_nodes;
-        insgrow_calls = acc.Clogsgrow.insgrow_calls + s.Clogsgrow.insgrow_calls;
-        lb_pruned = acc.Clogsgrow.lb_pruned + s.Clogsgrow.lb_pruned;
-        non_closed_dropped =
-          acc.Clogsgrow.non_closed_dropped + s.Clogsgrow.non_closed_dropped;
-      })
-  end
+  (shared.Query.finalize results, stats, quarantined statuses)

@@ -1,21 +1,31 @@
-(** Domain-parallel mining (OCaml 5 multicore) with crash isolation.
+(** The parallel executor (OCaml 5 multicore): work stealing over DFS
+    subtrees, with crash isolation.
 
     The DFS subtrees rooted at distinct size-1 patterns are independent:
     the inverted index is read-only after construction and support sets
-    are subtree-local. Each domain repeatedly claims the next unclaimed
-    root from an atomic counter and mines its subtree with the sequential
-    algorithms; per-root results are stored in a slot array, so the merged
-    output is {b deterministic} (identical to the sequential DFS order)
-    regardless of scheduling.
+    are subtree-local. Every worker domain owns a {!Deque}. It claims
+    fresh roots from a shared counter in {!largest_first_order}, splits
+    shallow nodes into one task per admitted child, and mines deeper
+    subtrees whole. A worker with no roots left and no local work steals
+    the oldest task from a sibling, so one heavy root does not leave the
+    other domains idle. Results are keyed by root and DFS path, so each
+    root's output is {b identical} to the sequential DFS whatever the
+    schedule.
 
-    Resilience: an exception raised while mining one root is contained to
-    that root — every spawned domain is always joined, the root is retried
-    once sequentially, and if the retry fails too only that root's patterns
-    are missing from the output, with [stats.outcome = Worker_failed]. A
-    shared {!Budget.t} stops the whole pool cooperatively; roots finished
-    before the stop keep their results.
+    Resilience: an exception raised while mining a root is contained to
+    that root. Every spawned domain is always joined, the root is retried
+    once sequentially, and if the retry fails too the root is
+    quarantined: only its patterns are missing, and the run's outcome is
+    [Worker_failed]. A shared {!Budget.t} stops every worker
+    cooperatively; roots finished before the stop keep their results,
+    and unfinished roots keep what was mined under them. A worker with
+    nothing to claim or steal spins briefly, then sleeps with
+    exponential backoff (10 us up to 1 ms), so idle domains do not take
+    CPU from busy ones.
 
-    An extension beyond the paper — the 2009 evaluation was single-core —
+    This executor serves every parallel and every checkpointed run
+    ({!Miner}); a checkpointed run without [domains] uses one domain.
+    An extension beyond the paper (the 2009 evaluation was single-core),
     kept orthogonal: all correctness arguments are the sequential
     algorithms'. *)
 
@@ -30,72 +40,82 @@ val auto_shards : unit -> int
     {!default_domains}: shards are index views, not running domains,
     so there is no oversubscription cost to matching the machine). *)
 
-type 'a root_status =
-  | Done of 'a  (** the root's miner returned (possibly with partial results
-                    and a stop outcome recorded in its stats) *)
-  | Failed of exn  (** raised in the pool; {!retry_failed} not yet run *)
-  | Skipped  (** never claimed: the pool halted on a budget stop first *)
+type root_status =
+  | Done of Mined.t list
+      (** the root's whole subtree was mined; its results in DFS order *)
+  | Partial of Mined.t list
+      (** not finished: a budget stop halted the run first. Carries the
+          patterns mined under the root before the stop, in DFS order
+          with gaps where tasks did not finish ([[]] for a root never
+          claimed). A resume mines the root again, so a checkpoint
+          reports these but never logs them. *)
   | Quarantined of { exn : exn; backtrace : string }
-      (** poison root: raised in the pool {e and} in the sequential retry.
-          {!Miner.mine_resumable} records these in the checkpoint so a
-          resumed run skips them instead of re-crashing. *)
-
-val run_pool :
-  ?trace:Trace.t ->
-  ?halt_on:('a -> bool) ->
-  ?order:int array ->
-  domains:int ->
-  num_roots:int ->
-  mine_root:(int -> 'a) ->
-  unit ->
-  'a root_status array * Budget.outcome option
-(** Generic crash-isolated work pool over root indices [0 .. num_roots-1].
-    Exceptions from [mine_root] are captured per root as [Failed] (never
-    escaping a domain); all spawned domains are joined before returning,
-    even if the main-domain worker itself raises. When [halt_on result]
-    holds for a completed root, or a {!Budget.Stop} escapes [mine_root],
-    the pool stops claiming further roots; the second component is the
-    escaped stop reason, if any. No retry is performed here — see
-    {!retry_failed}.
-
-    [order], when given, must be a permutation of [0 .. num_roots-1]: the
-    [k]-th claim mines root [order.(k)]. Slots, fault sites
-    ({!Budget.Fault.Worker}) and checkpoints stay keyed by root index, so
-    the mined output and per-root statuses are identical for every order —
-    a permutation only changes which roots are in flight when the pool
-    halts. @raise Invalid_argument when its length is not [num_roots].
-
-    Every worker samples {!Metrics.peak_live_words} for its own domain as
-    it exits, so the merged snapshot reflects parallel memory use, and
-    records its lifecycle as a [Worker] span into its per-domain buffer of
-    [trace] (default {!Trace.null}); [mine_root] implementations that want
-    per-root spans should record through [Trace.for_domain trace]. *)
-
-val retry_failed :
-  ?trace:Trace.t ->
-  ?backoff_s:float ->
-  mine_root:(int -> 'a) ->
-  'a root_status array ->
-  'a root_status array
-(** Retries every [Failed] slot once, sequentially, in the calling domain,
-    sleeping [backoff_s] (default 0.01) before each retry so transient
-    pressure has a moment to clear; updates the array in place and returns
-    it. The {!Budget.Fault.Worker} site fires again for each retried root,
-    so a persistent injected fault fails both attempts — the slot then
-    becomes [Quarantined] with the exception and backtrace preserved
-    ({!Metrics.quarantined_roots}, [Quarantine] trace instant). Each retry
-    bumps {!Metrics.root_retries} and records a [Root_retry] instant. *)
+      (** poison root: it raised in the executor {e and} in the
+          sequential retry. {!Miner.mine_resumable} records these in the
+          checkpoint so a resumed run skips them instead of re-crashing. *)
 
 val largest_first_order :
   Inverted_index.t -> Rgs_sequence.Event.t array -> int array
-(** A claim order for [run_pool]'s [?order]: root indices sorted by their
-    event's occurrence count descending, {b ties broken by the lower root
-    index} — the comparator is a total order, so the permutation is
-    identical on every OCaml version and backend ([Array.sort] is not
-    stable, so an array-order tie-break would be). Heavy DFS subtrees
-    start first, so no domain is left mining a large root alone at the
-    tail of the pool run — longest-processing-time-first scheduling on
-    the size-1 support proxy. *)
+(** The executor's claim order: root indices sorted by their event's
+    occurrence count descending, {b ties broken by the lower root index}
+    — the comparator is a total order, so the permutation is identical
+    on every OCaml version and backend ([Array.sort] is not stable, so
+    an array-order tie-break would not be). Heavy DFS subtrees start
+    first: longest-processing-time-first on the size-1 support proxy. *)
+
+val mine_roots :
+  ?domains:int ->
+  ?max_length:int ->
+  ?budget:Budget.t ->
+  ?trace:Trace.t ->
+  ?shards:int ->
+  ?shard_dispatch:Shard_merge.dispatch ->
+  ?shared:Query.shared ->
+  ?split_len:int ->
+  ?roots:Event.t list ->
+  ?on_root_done:(Event.t -> Mined.t list -> unit) ->
+  strategy:Engine.strategy ->
+  Inverted_index.t ->
+  min_sup:int ->
+  root_status array * Engine.stats
+(** [mine_roots ~strategy idx ~min_sup] mines the subtree of every root
+    in [roots] (default: the frequent events of [idx]) with [domains]
+    workers (default {!default_domains}) and returns one status per
+    root, indexed like [roots], plus the stats summed over every worker.
+
+    - Nodes of pattern length at most [split_len] (default 2) are split
+      into one task per child ([Engine.expand]); deeper subtrees are
+      mined whole ([Engine.run_frame]). With one domain nothing is
+      split.
+    - [shared] (default: {!Query.shared} of [Query.All]) is the query
+      plan every worker consults; the caller applies its
+      [finalize] to the union of the results. The sequential retry of
+      a crashed root does not offer to it (the first attempt may have
+      offered the same patterns already).
+    - [shards] wraps the strategy with {!Shard_merge.strategy} per
+      worker; [shard_dispatch] computes the per-shard growths (for
+      example in supervised processes). It is called concurrently from
+      every worker, so it must be thread-safe.
+    - [on_root_done root results] is called once per finished root, by
+      the worker that finished it (so concurrently): this is where a
+      checkpoint appends its [Root_done] record. A root counts as
+      [Done] only after the call returns; a raising hook fails the root
+      like a crashed task.
+    - [Budget.Fault.Worker i] fires as root [i] (an index into [roots])
+      is claimed and again on its retry; [Budget.Fault.Steal w] fires
+      when worker [w] runs a stolen task. [RGS_CHAOS_ROOT_DELAY_MS]
+      sleeps that long before each root, a window for signal and
+      kill tests.
+
+    [stats.outcome] is the budget stop that halted the run, combined
+    with [Worker_failed] when a root was quarantined; [Cancelled] when
+    roots were left [Partial] without a recorded stop. Metrics:
+    [pool_workers], [steal_attempts]/[steal_successes],
+    [deque_max_depth], [root_retries], [quarantined_roots]; trace: a
+    [Worker] span per worker, a [Root] span per finished root, [Steal],
+    [Root_retry] and [Quarantine] instants.
+    @raise Invalid_argument when [min_sup < 1], [domains < 1] or
+    [shards < 1]. *)
 
 val mine_steal :
   ?domains:int ->
@@ -109,76 +129,12 @@ val mine_steal :
   Inverted_index.t ->
   min_sup:int ->
   Mined.t list * Engine.stats * int
-(** The work-stealing executor: dynamic load balancing at DFS-subtree
-    granularity instead of [run_pool]'s static per-root claiming. Every
-    worker owns a {!Deque}; it claims fresh roots from a shared counter
-    in {!largest_first_order} while any remain, splits nodes of pattern
-    length at most [split_len] (default 2) into one task per admitted
-    child ([Engine.expand]) pushed onto its own deque, and mines deeper
-    subtrees whole ([Engine.run_frame]). A worker with no roots left and
-    an empty deque steals the oldest task from a sibling — the largest
-    deferred subtree — so a skewed root set no longer serializes the
-    tail of the run ([Metrics.steal_attempts]/[steal_successes],
-    [Steal] trace instants, [deque_max_depth]).
-
-    {b Determinism}: per-task results are keyed by their DFS path and
-    stitched in root order then path order, so the output is identical
-    to the sequential miner's for every schedule, shard count and domain
-    count. [query] runs through {!Query.shared} (the top-k floor is a
-    shared atomic inherited by stolen subtrees; ties at the k-th support
-    are resolved canonically in [finalize], not by arrival). [shards]
-    wraps the strategy with {!Shard_merge.strategy} per worker.
-
-    Failure handling matches [run_pool] + {!retry_failed}: the first
-    exception in any task of a root fails the whole root (its other
-    tasks short-circuit), the root is retried sequentially and
-    quarantined if the retry fails too — the third result is the number
-    of quarantined roots, and [stats.outcome] is [Worker_failed] when
-    any root was lost. A {!Budget.Stop} halts all workers cooperatively;
-    roots whose every task finished keep their results.
-    @raise Invalid_argument when [min_sup < 1], [domains < 1] or
-    [shards < 1]. *)
-
-val mine_all :
-  ?domains:int ->
-  ?max_length:int ->
-  ?budget:Budget.t ->
-  ?trace:Trace.t ->
-  ?schedule:[ `Index | `Largest_first ] ->
-  ?steal:bool ->
-  ?shards:int ->
-  ?shard_dispatch:Shard_merge.dispatch ->
-  Inverted_index.t ->
-  min_sup:int ->
-  Mined.t list * Gsgrow.stats
-(** Parallel GSgrow. Without failures or budget stops, the output equals
-    [Gsgrow.mine idx ~min_sup] exactly (order included); stats are summed
-    across domains. Crashing roots lose only their own patterns after one
-    sequential retry ([stats.outcome = Worker_failed]); budget stops return
-    the roots finished so far ([stats.outcome] carries the reason).
-    [schedule] picks the claim order — [`Largest_first] (default,
-    {!largest_first_order}) or [`Index]; both yield the identical output.
-    [steal] routes the run through {!mine_steal} (same output, dynamic
-    balancing; [schedule] is then moot — stealing always claims largest
-    first). [shards] runs every instance growth shard-by-shard
-    ({!Shard_merge}) in either mode — again identical output;
-    [shard_dispatch] routes the per-shard grows through a supervisor's
-    closure ({!Shard_merge.dispatch}, non-steal mode only — it is
-    called concurrently from every pool domain, so implementations
-    must be thread-safe).
-    @raise Invalid_argument when [min_sup < 1] or [domains < 1]. *)
-
-val mine_closed :
-  ?domains:int ->
-  ?max_length:int ->
-  ?use_lb_check:bool ->
-  ?budget:Budget.t ->
-  ?trace:Trace.t ->
-  ?schedule:[ `Index | `Largest_first ] ->
-  ?steal:bool ->
-  ?shards:int ->
-  ?shard_dispatch:Shard_merge.dispatch ->
-  Inverted_index.t ->
-  min_sup:int ->
-  Mined.t list * Clogsgrow.stats
-(** Parallel CloGSgrow; same guarantees. *)
+(** {!mine_roots} over every frequent root, assembled: the results of
+    the [Done] and [Partial] roots in root order, then [query]'s
+    {!Query.shared} [finalize] (the top-k floor is a shared atomic inherited by stolen
+    subtrees; ties at the k-th support are resolved canonically, not
+    by arrival). Without a budget stop the output is identical to the
+    sequential miner's for every schedule, shard count and domain
+    count. The third result is
+    the number of quarantined roots.
+    @raise Invalid_argument as {!mine_roots}. *)

@@ -60,3 +60,8 @@ let strategy ?(verify = false) ?trace t (base : Engine.strategy) =
     merged
   in
   { base with Engine.grow = grow_sharded }
+
+let wrap ?dispatch ?shards ?trace db base =
+  match shards with
+  | None -> base
+  | Some n -> strategy ?trace (make ?dispatch db ~shards:n) base

@@ -79,3 +79,14 @@ val strategy : ?verify:bool -> ?trace:Trace.t -> t -> Engine.strategy -> Engine.
     runs the unsharded [base] and fails loudly when the results differ —
     the differential proof obligation, meant for tests (it doubles the
     growth work). *)
+
+val wrap :
+  ?dispatch:dispatch ->
+  ?shards:int ->
+  ?trace:Trace.t ->
+  Seqdb.t ->
+  Engine.strategy ->
+  Engine.strategy
+(** [wrap ?shards db base] is [base] when [shards] is unset, otherwise
+    {!strategy} over [make ?dispatch db ~shards] — the one shard-layout
+    decision behind both {!Miner} paths. *)

@@ -172,15 +172,17 @@ val checkpoint_salvaged_roots : counter
     torn checkpoint file (only bumped when trailing bytes were dropped). *)
 
 val pool_workers : counter
-(** Pool worker bodies started by [Parallel_miner.run_pool] (one per
-    domain per pool run, including the main domain's). *)
+(** Executor worker bodies started by [Parallel_miner.mine_roots] (one
+    per domain per run, including the main domain's). Every parallel and
+    every checkpointed run counts at least one. *)
 
 val root_retries : counter
-(** Crashed DFS roots retried sequentially after a pool run. *)
+(** Crashed DFS roots retried sequentially after the executor's workers
+    joined. *)
 
 val quarantined_roots : counter
 (** Roots whose sequential retry also failed and were quarantined
-    ([Parallel_miner.retry_failed]); a resumed run skips them. *)
+    ([Parallel_miner.mine_roots]); a resumed run skips them. *)
 
 val trace_dropped_events : counter
 (** Trace-ring events overwritten by wrap-around ([Trace] ring full) —
@@ -249,14 +251,14 @@ val store_crc_failures : counter
 
 val steal_attempts : counter
 (** Steal operations issued by idle pool workers against peers' deques
-    ([Parallel_miner] stealing mode), including ones that found the deque
+    ([Parallel_miner]), including ones that found the deque
     empty or lost the CAS race. *)
 
 val steal_successes : counter
 (** Steals that won their ticket CAS and carried a DFS subtree to another
     worker. [steal_successes / steal_attempts] is the contention-adjusted
-    steal hit rate; zero on a balanced workload means LPT alone kept every
-    worker busy. *)
+    steal hit rate; zero on a balanced workload means largest-first root
+    claiming alone kept every worker busy. *)
 
 val shard_merge_ns : counter
 (** Total wall time spent in [Shard_merge.grow] combining per-shard
@@ -264,7 +266,7 @@ val shard_merge_ns : counter
     sharding adds on top of the per-shard INSgrow passes. *)
 
 val deque_max_depth : counter
-(** Deepest any worker's steal deque grew during a stealing pool run (max
+(** Deepest any worker's steal deque grew during an executor run (max
     gauge): the high-water mark of deferred DFS subtrees awaiting an
     owner pop or a steal. *)
 

@@ -374,7 +374,8 @@ let run_job t (job : Job.t) =
             Some path
           | _ -> None
         in
-        Some (Supervisor.create ?store (Supervisor.config ~shards:n ()) db)
+        let gap = Option.map (fun g -> (0, g)) job.Job.spec.Protocol.max_gap in
+        Some (Supervisor.create ?store (Supervisor.config ~shards:n ?gap ()) db)
     in
     let shards =
       match t.cfg.shard_workers with Some _ as w -> w | None -> t.cfg.shards

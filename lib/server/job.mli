@@ -45,8 +45,7 @@ val create : client:int -> Protocol.job_spec -> t
 
 val validate : Protocol.job_spec -> (unit, string) result
 (** Static spec checks: well-formed job id, [min_sup >= 1], non-negative
-    limits, no [max_gap] (the gap-constrained path is not
-    root-partitioned, so it cannot checkpoint/resume), a well-formed
+    limits, [max_gap >= 0] when set, a well-formed
     query (non-empty target of non-negative event ids, [top_k >= 1]) and
     [compress_delta] within [[0, 1]]. A malformed query is a typed
     rejection the client sees as {!Protocol.Rejected}, never a dropped

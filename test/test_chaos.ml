@@ -3,8 +3,8 @@
    For every generated plan — site kind x trigger firing count x
    transient/persistent — the faulted run must uphold the resilience
    invariant: mined output restricted to non-quarantined roots equals the
-   fault-free run, and no injected fault escapes mine_all / mine_closed /
-   mine_resumable as an uncaught exception. The sweep is bounded so tier-1
+   fault-free run, and no injected fault escapes a parallel Miner run,
+   mine_resumable or mine_steal as an uncaught exception. The sweep is bounded so tier-1
    stays fast; RGS_CHAOS_PLANS raises the plan count for a deeper run
    (e.g. RGS_CHAOS_PLANS=100 dune build @chaos). *)
 
@@ -107,49 +107,65 @@ let test_invariant_checker () =
 
 (* --- the sweeps --- *)
 
-let test_sweep_mine_all () =
+(* Miner's partitioned path (domains set), all and closed: crashes are
+   contained per root and counted in [report.quarantined]. *)
+let sweep_parallel ~mode ~seed =
   let db = Lazy.force chaos_db in
   let idx = Inverted_index.build db in
-  let baseline, _ = Parallel_miner.mine_all ~domains:2 ~max_length:3 idx ~min_sup in
+  let cfg = Miner.config ~mode ~min_sup ~max_length:3 ~domains:2 () in
+  let baseline = (Miner.mine_indexed cfg idx).Miner.results in
   Alcotest.(check bool) "baseline mined something" true (baseline <> []);
   List.iter
     (fun plan ->
       let before = Metrics.snapshot () in
-      match
-        Chaos.inject plan (fun () ->
-            Parallel_miner.mine_all ~domains:2 ~max_length:3 idx ~min_sup)
-      with
-      | faulty, _ ->
-        check plan ~baseline ~faulty ~quarantined:(quarantined_delta before)
+      match Chaos.inject plan (fun () -> Miner.mine_indexed cfg idx) with
+      | report ->
+        check plan ~baseline ~faulty:report.Miner.results
+          ~quarantined:report.Miner.quarantined;
+        Alcotest.(check int)
+          (plan_str plan ^ ": quarantined_roots metric")
+          report.Miner.quarantined (quarantined_delta before)
       | exception e ->
         Alcotest.failf "%s: escaped exception %s" (plan_str plan)
           (Printexc.to_string e))
-    (Chaos.plans
-       ~kinds:[ Chaos.Insgrow; Chaos.Worker ]
-       ~seed:101 ~count:plan_count ())
+    (Chaos.plans ~kinds:[ Chaos.Insgrow; Chaos.Worker ] ~seed ~count:plan_count ())
 
-let test_sweep_mine_closed () =
+let test_sweep_parallel_all () = sweep_parallel ~mode:Miner.All ~seed:101
+let test_sweep_parallel_closed () = sweep_parallel ~mode:Miner.Closed ~seed:202
+
+(* A top-k answer is global, so a quarantined root can change which
+   patterns of other roots make the cut and the per-root invariant does
+   not apply. Transient faults must still be fully absorbed: the retried
+   root must not feed the shared top-k heap a second time, or the floor
+   would prune real answers. *)
+let sig_of (r : Mined.t) =
+  Printf.sprintf "%s:%d" (Pattern.to_string r.Mined.pattern) r.Mined.support
+
+let test_sweep_parallel_topk () =
   let db = Lazy.force chaos_db in
   let idx = Inverted_index.build db in
-  let baseline, _ =
-    Parallel_miner.mine_closed ~domains:2 ~max_length:3 idx ~min_sup
+  let cfg =
+    Miner.config ~query:(Query.Top_k 25) ~min_sup ~max_length:3 ~domains:2 ()
   in
-  Alcotest.(check bool) "baseline mined something" true (baseline <> []);
+  let baseline = (Miner.mine_indexed cfg idx).Miner.results in
+  Alcotest.(check int) "baseline is k patterns" 25 (List.length baseline);
   List.iter
     (fun plan ->
-      let before = Metrics.snapshot () in
-      match
-        Chaos.inject plan (fun () ->
-            Parallel_miner.mine_closed ~domains:2 ~max_length:3 idx ~min_sup)
-      with
-      | faulty, _ ->
-        check plan ~baseline ~faulty ~quarantined:(quarantined_delta before)
+      match Chaos.inject plan (fun () -> Miner.mine_indexed cfg idx) with
+      | report ->
+        Alcotest.(check int) (plan_str plan ^ ": quarantined") 0
+          report.Miner.quarantined;
+        Alcotest.(check (list string))
+          (plan_str plan ^ ": answer")
+          (List.map sig_of baseline)
+          (List.map sig_of report.Miner.results)
       | exception e ->
         Alcotest.failf "%s: escaped exception %s" (plan_str plan)
           (Printexc.to_string e))
-    (Chaos.plans
-       ~kinds:[ Chaos.Insgrow; Chaos.Worker ]
-       ~seed:202 ~count:plan_count ())
+    (List.filter
+       (fun p -> not p.Chaos.persistent)
+       (Chaos.plans ~kinds:[ Chaos.Insgrow; Chaos.Worker ] ~seed:404
+          ~count:(2 * plan_count) ()))
 
 (* mine_resumable additionally exposes the Checkpoint_io site; a
    checkpoint-write fault may never change mined output, only degrade
@@ -254,8 +270,9 @@ let suite =
     Alcotest.test_case "plans deterministic" `Quick test_plans_deterministic;
     Alcotest.test_case "inject counts firings" `Quick test_inject_counts_firings;
     Alcotest.test_case "invariant checker" `Quick test_invariant_checker;
-    Alcotest.test_case "sweep mine_all" `Quick test_sweep_mine_all;
-    Alcotest.test_case "sweep mine_closed" `Quick test_sweep_mine_closed;
+    Alcotest.test_case "sweep parallel all" `Quick test_sweep_parallel_all;
+    Alcotest.test_case "sweep parallel closed" `Quick test_sweep_parallel_closed;
+    Alcotest.test_case "sweep parallel top-k" `Quick test_sweep_parallel_topk;
     Alcotest.test_case "sweep mine_resumable" `Quick test_sweep_mine_resumable;
     Alcotest.test_case "sweep mine_steal" `Quick test_sweep_mine_steal;
     Alcotest.test_case "sweep resumable sharded" `Quick

@@ -198,7 +198,7 @@ let test_typed_rejections () =
       with_client h (fun c ->
           expect_rejected c (spec "../evil") "job id";
           expect_rejected c (spec ~min_sup:0 "bad-minsup") "min_sup";
-          expect_rejected c (spec ~max_gap:(Some 1) "gappy") "max_gap";
+          expect_rejected c (spec ~max_gap:(Some (-1)) "neg-gap") "max_gap";
           (* an undecodable inline db is admitted, then rejected by the
              worker — crash isolation, not a daemon crash *)
           let bad =
@@ -340,6 +340,40 @@ let test_v2_queries_end_to_end () =
                got)))
 
 (* --- the core contract: daemon output == batch output --- *)
+
+(* Gap-constrained jobs checkpoint like any other: the answer equals the
+   batch run of the same spec, and resubmitting the finished id under a
+   different gap hits the checkpoint fingerprint instead of replaying. *)
+let test_gap_job_matches_batch () =
+  let gappy = spec ~max_gap:(Some 1) "gappy" in
+  let expect =
+    match Job.load_db gappy with
+    | Error e -> failwith e
+    | Ok db ->
+      List.map
+        (fun m -> (Pattern.to_list m.Mined.pattern, m.Mined.support))
+        (Miner.mine ~config:(Job.config_of gappy) db).Miner.results
+  in
+  Alcotest.(check bool) "gap answer nonempty" true (expect <> []);
+  with_daemon (fun h ->
+      with_client h (fun c ->
+          submit_ok c gappy;
+          let got, summary = Client.collect_job c ~job_id:"gappy" in
+          Alcotest.(check (list (pair (list int) int)))
+            "gap job == batch (order included)" expect got;
+          Alcotest.(check string) "outcome" "completed" summary.Protocol.outcome;
+          submit_ok c (spec ~max_gap:(Some 2) "gappy");
+          let rec wait_reject () =
+            match Client.next_response c with
+            | Some (Protocol.Rejected { job_id = "gappy"; reason }) -> reason
+            | Some _ -> wait_reject ()
+            | None -> Alcotest.fail "daemon hung up instead of rejecting"
+          in
+          let reason = wait_reject () in
+          Alcotest.(check bool)
+            (Printf.sprintf "reason %S names the checkpoint" reason)
+            true
+            (String.length reason >= 10 && String.sub reason 0 10 = "checkpoint")))
 
 let test_submit_matches_batch () =
   with_daemon (fun h ->
@@ -768,6 +802,49 @@ let wait_ready sock =
 
 let wait_exit pid = snd (Unix.waitpid [] pid)
 
+(* A gap job on a daemon whose growths run in supervised rgsworker
+   processes: the workers must grow with the job's gap bound, so the
+   answer equals the batch run of the same spec. *)
+let test_e2e_shard_workers_gap_job () =
+  let gappy = spec ~max_gap:(Some 1) "e2e-gap" in
+  let expect =
+    match Job.load_db gappy with
+    | Error e -> failwith e
+    | Ok db ->
+      List.map
+        (fun m -> (Pattern.to_list m.Mined.pattern, m.Mined.support))
+        (Miner.mine ~config:(Job.config_of gappy) db).Miner.results
+  in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let sock = Filename.concat dir "d.sock" in
+      let pid = spawn_daemon ~sock ~dir [ "--shard-workers"; "2" ] in
+      let status = ref None in
+      Fun.protect
+        ~finally:(fun () ->
+          (* a failed check must not leave the daemon running *)
+          if !status = None then begin
+            Unix.kill pid Sys.sigkill;
+            ignore (wait_exit pid)
+          end)
+        (fun () ->
+          wait_ready sock;
+          let c = Client.connect sock in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              submit_ok c gappy;
+              let got, summary = Client.collect_job c ~job_id:"e2e-gap" in
+              Alcotest.(check (list (pair (list int) int)))
+                "supervised gap job == batch" expect got;
+              Alcotest.(check string) "completes" "completed"
+                summary.Protocol.outcome);
+          Unix.kill pid Sys.sigterm;
+          status := Some (wait_exit pid);
+          Alcotest.(check bool) "clean drain" true (!status = Some (Unix.WEXITED 0))))
+
 (* The acceptance scenario: kill -9 with two jobs in flight (torn
    in-flight checkpoint records possible), restart, resubmit both —
    outputs must equal the uninterrupted batch run. *)
@@ -957,6 +1034,8 @@ let suite =
       test_v2_queries_end_to_end;
     Alcotest.test_case "submit == batch, resubmit replays" `Quick
       test_submit_matches_batch;
+    Alcotest.test_case "gap job == batch, checkpoint gap pin" `Quick
+      test_gap_job_matches_batch;
     Alcotest.test_case "overload sheds job K+1, in-flight undisturbed" `Quick
       test_overload_sheds;
     Alcotest.test_case "round-robin fairness across clients" `Quick
@@ -974,6 +1053,8 @@ let suite =
     writer_isolation_prop;
     Alcotest.test_case "parse_errors_skipped counts non-strict skips" `Quick
       test_parse_errors_skipped_metric;
+    Alcotest.test_case "e2e: --shard-workers gap job == batch" `Quick
+      test_e2e_shard_workers_gap_job;
     Alcotest.test_case "e2e: kill -9 with two jobs, restart-resume" `Quick
       test_e2e_kill9_two_jobs_resume;
     Alcotest.test_case "e2e: SIGTERM drain, exit 130, resume" `Quick

@@ -94,7 +94,9 @@ let test_config_variants () =
   (* the four execution paths of the facade agree where they should *)
   let closed = Miner.mine ~min_sup:3 table3 in
   let paged =
-    Miner.mine ~config:(Miner.config ~min_sup:3 ~paged_index:true ()) table3
+    Miner.mine
+      ~config:(Miner.config ~min_sup:3 ~index_kind:Inverted_index.Kpaged ())
+      table3
   in
   let parallel = Miner.mine ~config:(Miner.config ~min_sup:3 ~domains:2 ()) table3 in
   let signatures r =
@@ -113,9 +115,22 @@ let test_config_variants () =
     (Invalid_argument "Miner: domains cannot be combined with max_patterns") (fun () ->
       ignore
         (Miner.mine ~config:(Miner.config ~min_sup:3 ~domains:2 ~max_patterns:5 ()) table3));
-  Alcotest.check_raises "domains + max_gap"
-    (Invalid_argument "Miner: domains cannot be combined with max_gap") (fun () ->
-      ignore (Miner.mine ~config:(Miner.config ~min_sup:3 ~domains:2 ~max_gap:1 ()) table3))
+  (* gap mining runs on the partitioned path too *)
+  List.iter
+    (fun max_gap ->
+      let sequential =
+        Miner.mine ~config:(Miner.config ~min_sup:3 ~max_gap ()) table3
+      in
+      List.iter
+        (fun domains ->
+          let parallel =
+            Miner.mine ~config:(Miner.config ~min_sup:3 ~domains ~max_gap ()) table3
+          in
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "domains %d + max_gap %d = sequential" domains max_gap)
+            (signatures sequential) (signatures parallel))
+        [ 1; 3 ])
+    [ 0; 1; 50 ]
 
 let test_metrics_counters () =
   Metrics.reset ();

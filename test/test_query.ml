@@ -36,7 +36,7 @@ let sorted l = List.sort compare l
 
 (* --- oracle 1: naive mine-all, sharing no code with Engine --- *)
 
-let oracle_mine_all ?max_length idx ~min_sup =
+let oracle_all_patterns ?max_length idx ~min_sup =
   let events = Inverted_index.frequent_events idx ~min_sup in
   let under_limit p =
     match max_length with None -> true | Some l -> Pattern.length p < l
@@ -107,7 +107,7 @@ let prop_oracle_vs_engine =
     ~count:120 db_gen Gens.print_db (fun db ->
       List.for_all
         (fun idx ->
-          let expect = oracle_mine_all ~max_length:4 idx ~min_sup:2 in
+          let expect = oracle_all_patterns ~max_length:4 idx ~min_sup:2 in
           let all =
             sigs (mine_with ~max_length:4 ~mode:Miner.All ~query:Query.All idx
                     ~min_sup:2)

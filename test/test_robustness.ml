@@ -128,9 +128,18 @@ let mid_db =
 
 let exn_injected = Failure "injected fault"
 
-(* One root crashing in the pool — every time, so the sequential retry fails
-   too — loses only that root's patterns; all other roots survive, all
-   domains are joined (the call returns), and the outcome is Worker_failed. *)
+let parallel_closed idx ~min_sup =
+  let report =
+    Miner.mine_indexed
+      (Miner.config ~min_sup ~max_length:4 ~domains:3 ())
+      idx
+  in
+  (report.Miner.results, report.Miner.outcome)
+
+(* One root crashing in the executor — every time, so the sequential retry
+   fails too — loses only that root's patterns; all other roots survive,
+   all domains are joined (the call returns), and the outcome is
+   Worker_failed. *)
 let test_worker_crash_loses_one_root () =
   let db = Lazy.force mid_db in
   let idx = Inverted_index.build db in
@@ -143,16 +152,16 @@ let test_worker_crash_loses_one_root () =
   let survivors =
     List.filter (fun r -> Pattern.get r.Mined.pattern 1 <> bad_root) full
   in
-  let results, stats =
+  let results, outcome =
     Budget.Fault.with_hook
       (function
         | Budget.Fault.Worker k when k = bad_index -> raise exn_injected
         | _ -> ())
-      (fun () -> Parallel_miner.mine_closed ~domains:3 ~max_length:4 idx ~min_sup)
+      (fun () -> parallel_closed idx ~min_sup)
   in
   Alcotest.(check (list (pair string int)))
     "other roots' patterns intact" (signatures survivors) (signatures results);
-  Alcotest.(check bool) "worker failed" true (stats.Clogsgrow.outcome = Budget.Worker_failed)
+  Alcotest.(check bool) "worker failed" true (outcome = Budget.Worker_failed)
 
 (* A root crashing once recovers through the sequential retry: full results,
    Completed outcome. *)
@@ -162,17 +171,17 @@ let test_worker_crash_retry_recovers () =
   let min_sup = 5 in
   let full, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
   let fired = Atomic.make false in
-  let results, stats =
+  let results, outcome =
     Budget.Fault.with_hook
       (function
         | Budget.Fault.Worker 0 when not (Atomic.exchange fired true) ->
           raise exn_injected
         | _ -> ())
-      (fun () -> Parallel_miner.mine_closed ~domains:3 ~max_length:4 idx ~min_sup)
+      (fun () -> parallel_closed idx ~min_sup)
   in
   Alcotest.(check (list (pair string int)))
     "retry recovers everything" (signatures full) (signatures results);
-  Alcotest.(check bool) "completed" true (stats.Clogsgrow.outcome = Budget.Completed)
+  Alcotest.(check bool) "completed" true (outcome = Budget.Completed)
 
 (* Crashes injected at INSgrow granularity inside the sequential miner
    propagate to the caller (no pool to contain them). *)
@@ -197,11 +206,15 @@ let test_deadline_immediate () =
   Alcotest.(check bool) "deadline outcome" true
     (stats.Clogsgrow.outcome = Budget.Deadline_exceeded);
   Alcotest.(check int) "no patterns mined" 0 (List.length results);
-  (* parallel flavour: pool drains gracefully, same outcome *)
-  let presults, pstats = Parallel_miner.mine_closed ~domains:3 ~budget idx ~min_sup:5 in
+  (* parallel flavour: the executor drains gracefully, same outcome *)
+  let presults, pstats, _ =
+    Parallel_miner.mine_steal ~domains:3 ~budget
+      ~strategy:(Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true)
+      idx ~min_sup:5
+  in
   Alcotest.(check int) "parallel empty too" 0 (List.length presults);
   Alcotest.(check bool) "parallel deadline outcome" true
-    (pstats.Clogsgrow.outcome = Budget.Deadline_exceeded)
+    (pstats.Engine.outcome = Budget.Deadline_exceeded)
 
 (* A DFS-node budget yields a partial result that is a sub-multiset of the
    full closed set, with outcome Truncated. *)
@@ -240,29 +253,49 @@ let test_memory_limit () =
   Alcotest.(check bool) "memory limit" true
     (stats.Clogsgrow.outcome = Budget.Memory_limit)
 
-(* run_pool directly: exceptions are contained per root, the call returns
-   (all domains joined), and untouched roots still complete. *)
-let test_run_pool_isolation () =
-  let mine_root k = if k mod 2 = 1 then raise exn_injected else k * 10 in
-  let slots, halt = Parallel_miner.run_pool ~domains:4 ~num_roots:9 ~mine_root () in
-  Alcotest.(check bool) "no budget halt" true (halt = None);
+(* The executor directly: exceptions are contained per root, the call
+   returns (all domains joined), untouched roots still complete, and
+   re-mining the quarantined roots alone with the fault gone heals them. *)
+let test_executor_isolation () =
+  let idx = Inverted_index.build (Lazy.force mid_db) in
+  let min_sup = 5 in
+  let events = Inverted_index.frequent_events idx ~min_sup in
+  let mine ?roots () =
+    Parallel_miner.mine_roots ~domains:4 ~max_length:3 ?roots
+      ~strategy:Gsgrow.strategy idx ~min_sup
+  in
+  let statuses, stats =
+    Budget.Fault.with_hook
+      (function
+        | Budget.Fault.Worker k when k mod 2 = 1 -> raise exn_injected
+        | _ -> ())
+      mine
+  in
+  Alcotest.(check bool) "worker failed" true
+    (stats.Engine.outcome = Budget.Worker_failed);
   Array.iteri
     (fun k status ->
       match status with
-      | Parallel_miner.Done v when k mod 2 = 0 ->
-        Alcotest.(check int) "even root mined" (k * 10) v
-      | Parallel_miner.Failed e when k mod 2 = 1 ->
-        Alcotest.(check bool) "odd root failed" true (e = exn_injected)
+      | Parallel_miner.Done _ when k mod 2 = 0 -> ()
+      | Parallel_miner.Quarantined { exn; _ } when k mod 2 = 1 ->
+        Alcotest.(check bool) "odd root quarantined" true (exn = exn_injected)
       | _ -> Alcotest.failf "unexpected status for root %d" k)
-    slots;
-  (* retry with a now-clean mine_root heals every failure *)
-  let healed = Parallel_miner.retry_failed ~mine_root:(fun k -> k * 10) slots in
-  Array.iteri
-    (fun k status ->
-      match status with
-      | Parallel_miner.Done v -> Alcotest.(check int) "healed" (k * 10) v
+    statuses;
+  let odd = List.filteri (fun k _ -> k mod 2 = 1) events in
+  let healed, stats = mine ~roots:odd () in
+  Alcotest.(check bool) "healed run completed" true
+    (stats.Engine.outcome = Budget.Completed);
+  List.iteri
+    (fun k root ->
+      match healed.(k) with
+      | Parallel_miner.Done rs ->
+        Alcotest.(check (list (pair string int)))
+          "healed root = its sequential subtree"
+          (signatures
+             (fst (Gsgrow.mine ~max_length:3 ~events ~roots:[ root ] idx ~min_sup)))
+          (signatures rs)
       | _ -> Alcotest.failf "root %d not healed" k)
-    healed
+    odd
 
 let with_temp_checkpoint f =
   let path = Filename.temp_file "rgs_ckpt" ".bin" in
@@ -374,6 +407,34 @@ let test_checkpoint_fingerprint_mismatch () =
       with
       | exception Checkpoint.Corrupt _ -> ()
       | _ -> Alcotest.fail "expected Corrupt on changed min_sup")
+
+(* The gap bound is part of the fingerprint (appended only when set):
+   a gap run resumes under the same gap, and is refused under another
+   gap or none. *)
+let test_checkpoint_gap_fingerprint () =
+  with_temp_checkpoint (fun path ->
+      let db = Lazy.force mid_db in
+      let cfg ?max_nodes max_gap =
+        Miner.config ~min_sup:5 ~max_length:3 ?max_gap ?max_nodes ()
+      in
+      let full = Miner.mine ~config:(cfg (Some 2)) db in
+      let stopped =
+        Miner.mine_resumable ~checkpoint:path (cfg ~max_nodes:60 (Some 2)) db
+      in
+      Alcotest.(check bool) "stopped early" true
+        (stopped.Miner.outcome = Budget.Truncated);
+      List.iter
+        (fun (label, other) ->
+          match Miner.mine_resumable ~checkpoint:path ~resume:true (cfg other) db with
+          | exception Checkpoint.Corrupt _ -> ()
+          | _ -> Alcotest.failf "expected Corrupt on resume with %s" label)
+        [ ("max_gap 3", Some 3); ("no max_gap", None) ];
+      let resumed =
+        Miner.mine_resumable ~checkpoint:path ~resume:true (cfg (Some 2)) db
+      in
+      Alcotest.(check (list (pair string int)))
+        "same gap resumes to the uninterrupted answer"
+        (signatures full.Miner.results) (signatures resumed.Miner.results))
 
 let test_checkpoint_corrupt_file () =
   with_temp_checkpoint (fun path ->
@@ -817,6 +878,48 @@ let test_e2e_instances () =
   Alcotest.(check string) "instances section = per-pattern recomputation"
     expected (if n >= m then String.sub out (n - m) m else out)
 
+(* --parallel, -p and --steal name one flag: the stealing executor. It
+   refuses --max-patterns with exit 1 (a cap is a prefix of the sequential
+   DFS order, which a parallel run has not got), and mines
+   gap-constrained and checkpointed runs like any other. *)
+let test_e2e_parallel_flag () =
+  let base = [ "--min-sup"; "2"; "--max-length"; "3"; "--all" ] in
+  let answer args =
+    let status, out = run_rgsminer (base @ args @ [ quest_small ]) in
+    Alcotest.(check bool)
+      (String.concat " " args ^ ": exit 0")
+      true
+      (status = Unix.WEXITED 0);
+    (* the report minus its timing suffix *)
+    String.split_on_char '\n' out
+    |> List.map (fun l ->
+           match String.index_opt l ' ' with
+           | Some i when contains l " patterns in " || contains l " pattern in " ->
+             String.sub l 0 i
+           | _ -> l)
+    |> String.concat "\n"
+  in
+  let status, out = run_rgsminer (base @ [ "--max-patterns"; "3"; quest_small ]) in
+  Alcotest.(check bool) "sequential cap: exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "sequential cap truncates" true (contains out "3 patterns (truncated)");
+  List.iter
+    (fun flag ->
+      let status, out =
+        run_rgsminer (base @ [ flag; "--max-patterns"; "3"; quest_small ])
+      in
+      Alcotest.(check bool) (flag ^ " --max-patterns: exit 1") true
+        (status = Unix.WEXITED 1);
+      Alcotest.(check bool) (flag ^ " --max-patterns: no report") false
+        (contains out " patterns in "))
+    [ "--parallel"; "-p"; "--steal" ];
+  Alcotest.(check string) "--parallel --max-gap 1 = sequential"
+    (answer [ "--max-gap"; "1" ])
+    (answer [ "--parallel"; "--max-gap"; "1" ]);
+  let sequential = answer [] in
+  with_temp_checkpoint (fun path ->
+      Alcotest.(check string) "--steal --checkpoint = sequential" sequential
+        (answer [ "--steal"; "--checkpoint"; path ]))
+
 let suite =
   [
     prop_strict_le_support;
@@ -837,7 +940,7 @@ let suite =
     Alcotest.test_case "node budget partial subset" `Quick test_node_budget_partial_subset;
     Alcotest.test_case "cancellation" `Quick test_cancellation;
     Alcotest.test_case "memory limit" `Quick test_memory_limit;
-    Alcotest.test_case "run_pool isolation" `Quick test_run_pool_isolation;
+    Alcotest.test_case "executor isolation" `Quick test_executor_isolation;
     Alcotest.test_case "checkpoint resume = uninterrupted" `Quick
       test_checkpoint_resume_equals_uninterrupted;
     Alcotest.test_case "checkpoint resume iterated" `Quick test_checkpoint_resume_iterated;
@@ -845,6 +948,8 @@ let suite =
       test_checkpoint_after_worker_crash;
     Alcotest.test_case "checkpoint fingerprint mismatch" `Quick
       test_checkpoint_fingerprint_mismatch;
+    Alcotest.test_case "checkpoint gap fingerprint" `Quick
+      test_checkpoint_gap_fingerprint;
     Alcotest.test_case "checkpoint corrupt file" `Quick test_checkpoint_corrupt_file;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "outcome severity" `Quick test_outcome_severity;
@@ -867,5 +972,6 @@ let suite =
       test_e2e_kill9_resume_sharded;
     Alcotest.test_case "e2e: SIGTERM graceful exit" `Quick test_e2e_sigterm_graceful;
     Alcotest.test_case "e2e: --instances listing" `Quick test_e2e_instances;
+    Alcotest.test_case "e2e: one parallel flag" `Quick test_e2e_parallel_flag;
     Alcotest.test_case "checkpoint v2 log refused" `Quick test_checkpoint_v2_refused;
   ]

@@ -3,8 +3,8 @@
 
    Contract under test: for every database, index backend, shard count in
    {1,2,4,8} and domain count, [Parallel_miner.mine_steal] (and the
-   [?steal]/[?shards] routing in Miner / Parallel_miner.mine_all/closed)
-   emits {e byte-identical} results to the sequential miners — including
+   [?domains]/[?shards] routing of Miner's partitioned path) emits
+   {e byte-identical} results to the sequential miners — including
    under gap constraints and Targeted/Top_k query plans, and on the
    adversarial all-work-in-one-root skew where static per-root scheduling
    degenerates to a single busy domain. *)
@@ -84,7 +84,20 @@ let test_shard_partition () =
     (Invalid_argument "Seqdb.shard: shard count must be >= 1") (fun () ->
       ignore (Seqdb.shard ragged 0))
 
-(* --- deterministic differentials: named dbs × shards × {LPT, steal} --- *)
+(* --- deterministic differentials: named dbs × shards × {Miner, steal} --- *)
+
+let via_miner ~mode ~domains ~shards idx ~min_sup =
+  (Miner.mine_indexed
+     (Miner.config ~mode ~max_length:4 ~domains ~shards ~min_sup ())
+     idx)
+    .Miner.results
+
+let steal ~strategy ~domains ~shards idx ~min_sup =
+  let results, _, _ =
+    Parallel_miner.mine_steal ~domains ~max_length:4 ~shards ~strategy idx
+      ~min_sup
+  in
+  results
 
 let test_steal_all_matches () =
   List.iter
@@ -93,15 +106,14 @@ let test_steal_all_matches () =
       let sequential, _ = Gsgrow.mine ~max_length:4 idx ~min_sup in
       List.iter
         (fun shards ->
-          let lpt, _ =
-            Parallel_miner.mine_all ~domains:4 ~max_length:4 ~shards idx ~min_sup
+          let miner =
+            via_miner ~mode:Miner.All ~domains:4 ~shards idx ~min_sup
           in
           Alcotest.check sig_t
-            (Printf.sprintf "%s all s%d lpt" name shards)
-            (signatures sequential) (signatures lpt);
-          let steal, _ =
-            Parallel_miner.mine_all ~domains:4 ~max_length:4 ~steal:true ~shards
-              idx ~min_sup
+            (Printf.sprintf "%s all s%d miner" name shards)
+            (signatures sequential) (signatures miner);
+          let steal =
+            steal ~strategy:Gsgrow.strategy ~domains:4 ~shards idx ~min_sup
           in
           Alcotest.check sig_t
             (Printf.sprintf "%s all s%d steal" name shards)
@@ -116,16 +128,14 @@ let test_steal_closed_matches () =
       let sequential, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
       List.iter
         (fun shards ->
-          let lpt, _ =
-            Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards idx
-              ~min_sup
+          let miner =
+            via_miner ~mode:Miner.Closed ~domains:3 ~shards idx ~min_sup
           in
           Alcotest.check sig_t
-            (Printf.sprintf "%s closed s%d lpt" name shards)
-            (signatures sequential) (signatures lpt);
-          let steal, _ =
-            Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~steal:true
-              ~shards idx ~min_sup
+            (Printf.sprintf "%s closed s%d miner" name shards)
+            (signatures sequential) (signatures miner);
+          let steal =
+            steal ~strategy:closed_strategy ~domains:3 ~shards idx ~min_sup
           in
           Alcotest.check sig_t
             (Printf.sprintf "%s closed s%d steal" name shards)
@@ -158,9 +168,8 @@ let test_steal_mapped_store () =
   Sys.remove path;
   let sequential, _ = Clogsgrow.mine ~max_length:4 (Inverted_index.build db) ~min_sup in
   let midx = Inverted_index.build mdb in
-  let steal, _ =
-    Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~steal:true ~shards:3
-      midx ~min_sup
+  let steal =
+    steal ~strategy:closed_strategy ~domains:4 ~shards:3 midx ~min_sup
   in
   Alcotest.check sig_t "mapped closed steal" (signatures sequential)
     (signatures steal)
@@ -185,14 +194,12 @@ let prop_steal_all_closed =
     (fun (db, shards, b) ->
       let _, idx = List.nth (backends db) b in
       let all_seq, _ = Gsgrow.mine ~max_length:4 idx ~min_sup:2 in
-      let all_steal, _ =
-        Parallel_miner.mine_all ~domains:3 ~max_length:4 ~steal:true ~shards idx
-          ~min_sup:2
+      let all_steal =
+        steal ~strategy:Gsgrow.strategy ~domains:3 ~shards idx ~min_sup:2
       in
       let closed_seq, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:2 in
-      let closed_steal, _ =
-        Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~steal:true ~shards
-          idx ~min_sup:2
+      let closed_steal =
+        steal ~strategy:closed_strategy ~domains:3 ~shards idx ~min_sup:2
       in
       signatures all_seq = signatures all_steal
       && signatures closed_seq = signatures closed_steal)
@@ -205,11 +212,9 @@ let prop_steal_skewed =
     (fun (db, shards) ->
       let idx = Inverted_index.build db in
       let seq, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:3 in
-      let steal, _ =
-        Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~steal:true ~shards
-          idx ~min_sup:3
-      in
-      signatures seq = signatures steal)
+      signatures seq
+      = signatures
+          (steal ~strategy:closed_strategy ~domains:4 ~shards idx ~min_sup:3))
 
 let prop_steal_gap =
   Gens.make ~name:"steal ≡ sequential (gap-constrained)" ~count:60
@@ -245,7 +250,7 @@ let prop_steal_topk =
           (List.sort Mined.compare_by_support_desc full)
       in
       let cfg =
-        Miner.config ~query:(Query.Top_k k) ~max_length:4 ~domains:3 ~steal:true
+        Miner.config ~query:(Query.Top_k k) ~max_length:4 ~domains:3
           ~shards:2 ~min_sup:2 ()
       in
       let report = Miner.mine_indexed cfg idx in
@@ -262,7 +267,7 @@ let prop_steal_targeted =
       let q = Query.Targeted p in
       let seq_cfg = Miner.config ~query:q ~max_length:4 ~min_sup:2 () in
       let steal_cfg =
-        Miner.config ~query:q ~max_length:4 ~domains:3 ~steal:true ~shards:2
+        Miner.config ~query:q ~max_length:4 ~domains:3 ~shards:2
           ~min_sup:2 ()
       in
       let seq = Miner.mine_indexed seq_cfg idx in
@@ -323,8 +328,8 @@ let test_steal_successes_on_skew () =
 let suite =
   [
     Alcotest.test_case "Seqdb.shard partition" `Quick test_shard_partition;
-    Alcotest.test_case "all: shards × {lpt, steal}" `Quick test_steal_all_matches;
-    Alcotest.test_case "closed: shards × {lpt, steal}" `Quick
+    Alcotest.test_case "all: shards × {Miner, steal}" `Quick test_steal_all_matches;
+    Alcotest.test_case "closed: shards × {Miner, steal}" `Quick
       test_steal_closed_matches;
     Alcotest.test_case "steal run-to-run determinism" `Quick
       test_steal_deterministic;

@@ -363,8 +363,10 @@ let test_parallel_worker_spans () =
   let idx = Inverted_index.build db in
   let trace = Trace.create ~level:Trace.Roots () in
   let before = Metrics.snapshot () in
-  let results, _ =
-    Parallel_miner.mine_closed ~domains:3 ~max_length:3 ~trace idx ~min_sup:5
+  let results, _, _ =
+    Parallel_miner.mine_steal ~domains:3 ~max_length:3 ~trace
+      ~strategy:(Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true)
+      idx ~min_sup:5
   in
   let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
   Alcotest.(check int) "worker spans = domains" 3 (kind_count trace Trace.Worker);
@@ -390,9 +392,12 @@ let test_peak_live_words_parallel () =
   let db = List.nth (Lazy.force random_dbs) 1 in
   let idx = Inverted_index.build db in
   Metrics.reset ();
-  ignore (Parallel_miner.mine_closed ~domains:2 ~max_length:3 idx ~min_sup:5);
+  ignore
+    (Parallel_miner.mine_steal ~domains:2 ~max_length:3
+       ~strategy:(Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true)
+       idx ~min_sup:5);
   (* regression: the gauge used to be sampled only on the main domain by
-     benches; now every pool worker samples its own domain at exit *)
+     benches; now every executor worker samples its own domain at exit *)
   Alcotest.(check bool) "pool workers sample peak_live_words" true
     (Metrics.value Metrics.peak_live_words > 0)
 
